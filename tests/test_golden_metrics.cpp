@@ -435,5 +435,164 @@ TEST(GoldenMetrics, RestartAdoptPinnedValues) {
   EXPECT_EQ(m.counter_total("manifest.publishes"), 42u);
 }
 
+// The tier paths of the cloud engine, pinned: peer seed fetches, dedup's
+// local and content-addressed peer borrows, crash salvage, manifest
+// adoption after a restart, and incremental rebase under image updates.
+// Two small runs cover them. The first turns every tier on at once; the
+// second runs the peer tier without dedup, the only configuration in
+// which peer_fetch itself serves clusters (dedup otherwise resolves them
+// first), with a short transfer deadline so the timeout path fires too.
+// Any change to a borrow, a verify pass or an accounting point shows up
+// as a changed count.
+
+cloud::CloudConfig tiers_config() {
+  cloud::CloudConfig cfg;
+  cfg.seed = 11;
+  cfg.horizon_s = 900.0;
+  cfg.cluster.compute_nodes = 4;
+  cfg.workload.num_vmis = 8;
+  cfg.workload.mean_interarrival_s = 20.0;
+  cfg.workload.min_lifetime_s = 30.0;
+  cfg.workload.mean_extra_lifetime_s = 60.0;
+  cfg.profile.image_size = 256_MiB;
+  cfg.profile.unique_read_bytes = 8_MiB;
+  cfg.sibling_group_size = 4;
+  cfg.cache_cluster_bits = 12;
+  cfg.content_bytes = 16_MiB;
+  cfg.peer_transfer = true;
+  return cfg;
+}
+
+std::uint64_t fallbacks_for(const obs::MetricsSnapshot& m, const char* why) {
+  const obs::MetricPoint* p = m.find("peer.fallback", {{"reason", why}});
+  return p != nullptr ? p->counter : 0;
+}
+
+TEST(GoldenMetrics, CloudTiersPinnedValues) {
+  {
+    cloud::CloudConfig cfg = tiers_config();
+    cfg.dedup = true;
+    cfg.cache_compress = true;
+    cfg.manifest = true;
+    cfg.restart_at_s.push_back(450.0);
+    cfg.updates.enabled = true;
+    cfg.updates.policy = update::Policy::rebase;
+    cfg.updates.rate_per_hour = 16.0;
+    cfg.failures.crashes.push_back({600.0, 60.0, 1});
+    const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+    EXPECT_EQ(r.arrivals, 48);
+    EXPECT_EQ(r.completed, 48);
+    EXPECT_EQ(r.aborted, 0);
+    EXPECT_EQ(r.rejected, 0);
+    EXPECT_EQ(r.retries, 0);
+    EXPECT_EQ(r.deploy_failures, 0);
+    EXPECT_EQ(r.crash_kills, 0);
+    EXPECT_EQ(r.vm_crashes, 4);
+    EXPECT_EQ(r.warm_hits, 36);
+    EXPECT_EQ(r.copyback_skips, 0);
+    EXPECT_EQ(r.node_crashes, 1);
+    EXPECT_EQ(r.node_recoveries, 1);
+    EXPECT_EQ(r.caches_salvaged, 1);
+    EXPECT_EQ(r.caches_invalidated, 0);
+    EXPECT_EQ(r.restarts, 1);
+    EXPECT_EQ(r.drains, 0);
+    EXPECT_EQ(r.caches_readopted, 4);
+    EXPECT_EQ(r.adopt_failures, 0);
+    EXPECT_EQ(r.adopt_stale, 0);
+    EXPECT_EQ(r.manifest_publishes, 69u);
+    EXPECT_EQ(r.post_restart_storage_bytes, 11315216u);
+    EXPECT_EQ(r.leaked_slots, 0);
+    EXPECT_EQ(r.cache_evictions, 0u);
+    EXPECT_EQ(r.storage_payload_bytes, 24190992u);
+    EXPECT_EQ(r.peer_seed_hits, 0u);
+    EXPECT_EQ(r.peer_fallback_fills, 988u);
+    EXPECT_EQ(r.peer_timeouts, 0u);
+    EXPECT_EQ(r.dedup_local_hits, 114u);
+    EXPECT_EQ(r.dedup_zero_fills, 35589u);
+    EXPECT_EQ(r.dedup_peer_hits, 208u);
+    EXPECT_EQ(r.dedup_fallbacks, 2149u);
+    EXPECT_EQ(r.dedup_bytes_served, 109386240u);
+    EXPECT_EQ(r.updates_published, 4);
+    EXPECT_EQ(r.caches_rebased, 4);
+    EXPECT_EQ(r.update_invalidations, 0);
+    EXPECT_EQ(r.rebase_patched_clusters, 34u);
+    EXPECT_EQ(r.rebase_reused_clusters, 9079u);
+    EXPECT_EQ(r.post_update_storage_bytes, 19162640u);
+    EXPECT_EQ(r.sim_events, 295368u);
+    EXPECT_EQ(r.peak_queue_depth, 1u);
+    EXPECT_NEAR(r.sim_seconds, 1096.770853590, 1e-6);
+    EXPECT_NEAR(r.deploy.p99, 29.316087808, 1e-6);
+
+    const obs::MetricsSnapshot& m = r.metrics;
+    EXPECT_EQ(m.counter_total("dedup.local_hits"), 114u);
+    EXPECT_EQ(m.counter_total("dedup.zero_fills"), 35589u);
+    EXPECT_EQ(m.counter_total("dedup.peer_hits"), 208u);
+    EXPECT_EQ(m.counter_total("dedup.fallbacks"), 2149u);
+    EXPECT_EQ(m.counter_total("dedup.bytes_served"), 109386240u);
+    EXPECT_EQ(m.counter_total("peer.seed_hits"), 0u);
+    EXPECT_EQ(m.counter_total("peer.fallback_fills"), 988u);
+    EXPECT_EQ(fallbacks_for(m, "miss"), 988u);
+    EXPECT_EQ(fallbacks_for(m, "timeout"), 0u);
+    EXPECT_EQ(fallbacks_for(m, "crash"), 0u);
+    EXPECT_EQ(fallbacks_for(m, "error"), 0u);
+    EXPECT_EQ(m.counter_total("peer.storage_bytes_avoided"), 626688u);
+    EXPECT_EQ(m.counter_total("peer.bytes_served"), 626688u);
+    EXPECT_EQ(m.counter_total("peer.registrations"), 23u);
+    EXPECT_EQ(m.counter_total("peer.deregistrations"), 13u);
+    EXPECT_EQ(m.counter_total("update.rebase.patched_clusters"), 34u);
+    EXPECT_EQ(m.counter_total("update.rebase.reused_clusters"), 9079u);
+    EXPECT_EQ(m.counter_total("cloud.adopt.ok"), 4u);
+    EXPECT_EQ(m.counter_total("cloud.adopt.failed"), 0u);
+    EXPECT_EQ(m.counter_total("cloud.adopt.stale"), 0u);
+    EXPECT_EQ(m.counter_total("cloud.cache_salvaged"), 1u);
+  }
+  {
+    cloud::CloudConfig cfg = tiers_config();
+    cfg.peer.timeout_s = 0.0005;
+    cfg.failures.crashes.push_back({500.0, 60.0, 1});
+    const cloud::CloudResult r = cloud::run_cloud(cfg);
+
+    EXPECT_EQ(r.arrivals, 48);
+    EXPECT_EQ(r.completed, 48);
+    EXPECT_EQ(r.aborted, 0);
+    EXPECT_EQ(r.rejected, 0);
+    EXPECT_EQ(r.retries, 0);
+    EXPECT_EQ(r.deploy_failures, 0);
+    EXPECT_EQ(r.crash_kills, 0);
+    EXPECT_EQ(r.vm_crashes, 0);
+    EXPECT_EQ(r.warm_hits, 34);
+    EXPECT_EQ(r.copyback_skips, 0);
+    EXPECT_EQ(r.node_crashes, 1);
+    EXPECT_EQ(r.node_recoveries, 1);
+    EXPECT_EQ(r.caches_salvaged, 2);
+    EXPECT_EQ(r.caches_invalidated, 0);
+    EXPECT_EQ(r.leaked_slots, 0);
+    EXPECT_EQ(r.cache_evictions, 5u);
+    EXPECT_EQ(r.storage_payload_bytes, 243970648u);
+    EXPECT_EQ(r.peer_seed_hits, 1973u);
+    EXPECT_EQ(r.peer_fallback_fills, 19450u);
+    EXPECT_EQ(r.peer_bytes_served, 12436992u);
+    EXPECT_EQ(r.peer_timeouts, 24u);
+    EXPECT_EQ(r.sim_events, 368339u);
+    EXPECT_EQ(r.peak_queue_depth, 1u);
+    EXPECT_NEAR(r.sim_seconds, 1096.762215960, 1e-6);
+    EXPECT_NEAR(r.deploy.p99, 7.768590989, 1e-6);
+
+    const obs::MetricsSnapshot& m = r.metrics;
+    EXPECT_EQ(m.find("dedup.fallbacks"), nullptr);
+    EXPECT_EQ(m.counter_total("peer.seed_hits"), 1973u);
+    EXPECT_EQ(m.counter_total("peer.fallback_fills"), 19450u);
+    EXPECT_EQ(fallbacks_for(m, "miss"), 19426u);
+    EXPECT_EQ(fallbacks_for(m, "timeout"), 24u);
+    EXPECT_EQ(fallbacks_for(m, "crash"), 0u);
+    EXPECT_EQ(fallbacks_for(m, "error"), 0u);
+    EXPECT_EQ(m.counter_total("peer.storage_bytes_avoided"), 12436992u);
+    EXPECT_EQ(m.counter_total("peer.registrations"), 16u);
+    EXPECT_EQ(m.counter_total("peer.deregistrations"), 7u);
+    EXPECT_EQ(m.counter_total("cloud.cache_salvaged"), 2u);
+  }
+}
+
 }  // namespace
 }  // namespace vmic::cluster
