@@ -90,6 +90,12 @@ class CachePool {
     auto it = entries_.find(vmi);
     if (it != entries_.end() && it->second.pins > 0) --it->second.pins;
   }
+  /// Pins held across all entries: 0 once every borrower released.
+  [[nodiscard]] int total_pins() const {
+    int n = 0;
+    for (const auto& [vmi, e] : entries_) n += e.pins;
+    return n;
+  }
   [[nodiscard]] bool pinned(const std::string& vmi) const {
     auto it = entries_.find(vmi);
     return it != entries_.end() && it->second.pins > 0;

@@ -126,11 +126,8 @@ class Engine {
     // clusters; the rest is image-private, so dedup has real structure to
     // find rather than an all-zero freebie.
     if (cfg_.sibling_group_size > 0) {
-      const std::uint64_t ccs = 1ull << cfg_.cache_cluster_bits;
-      const std::uint64_t limit =
-          cfg_.content_bytes == 0
-              ? cfg_.profile.image_size
-              : std::min(cfg_.content_bytes, cfg_.profile.image_size);
+      const std::uint64_t ccs = cache_cluster_bytes();
+      const std::uint64_t limit = content_limit();
       std::vector<std::uint8_t> cluster(ccs);
       for (int v = 0; v < num_vmis_; ++v) {
         SparseBuffer* buf = *cl_.storage.disk_dir.buffer(img_name(v));
@@ -173,51 +170,14 @@ class Engine {
       sched_[i].vm_capacity = cfg_.vm_slots_per_node;
     }
     idx_.emplace(&sched_);
-    auto& reg = cl_.obs->registry;
-    c_arrivals_ = &reg.counter("cloud.arrivals");
-    c_completed_ = &reg.counter("cloud.completed");
-    c_aborted_ = &reg.counter("cloud.aborted");
-    c_rejected_ = &reg.counter("cloud.rejected");
-    c_retries_ = &reg.counter("cloud.retries");
-    c_deploy_failures_ = &reg.counter("cloud.deploy_failures");
-    c_crash_kills_ = &reg.counter("cloud.crash_kills");
-    c_vm_crashes_ = &reg.counter("cloud.vm_crashes");
-    c_warm_hits_ = &reg.counter("cloud.warm_hits");
-    c_copyback_skips_ = &reg.counter("cloud.copyback_skips");
-    c_node_crashes_ = &reg.counter("cloud.node_crashes");
-    c_node_recoveries_ = &reg.counter("cloud.node_recoveries");
-    c_cache_salvaged_ = &reg.counter("cloud.cache_salvaged");
-    c_cache_invalidated_ = &reg.counter("cloud.cache_invalidated");
-    const std::vector<double> bounds{0.5, 1,  2,  5,   10,  20,
-                                     30,  60, 120, 300, 600};
-    h_deploy_ = &reg.histogram("cloud.deploy_seconds", {}, bounds);
-    h_queue_wait_ = &reg.histogram("cloud.queue_wait_seconds", {}, bounds);
-    h_prepare_ = &reg.histogram("cloud.prepare_seconds", {}, bounds);
-    h_boot_ = &reg.histogram("cloud.boot_seconds", {}, bounds);
-    // Peer tier state and metrics exist only when the tier is on: a
-    // peer-off run must produce the exact snapshot it produced before the
-    // tier existed (the golden cloud.* pins).
     if (cfg_.peer_transfer) {
       fabric_.emplace(cl_.env, cl_.nodes.size(), cfg_.peer);
       fabric_->bind_obs(cl_.obs);
-      c_peer_hits_ = &reg.counter("peer.seed_hits");
-      c_peer_fallback_ = &reg.counter("peer.fallback_fills");
-      c_peer_fb_miss_ = &reg.counter("peer.fallback", {{"reason", "miss"}});
-      c_peer_fb_timeout_ =
-          &reg.counter("peer.fallback", {{"reason", "timeout"}});
-      c_peer_fb_crash_ = &reg.counter("peer.fallback", {{"reason", "crash"}});
-      c_peer_fb_error_ = &reg.counter("peer.fallback", {{"reason", "error"}});
-      c_peer_bytes_avoided_ = &reg.counter("peer.storage_bytes_avoided");
-      c_peer_reg_ = &reg.counter("peer.registrations");
-      c_peer_dereg_ = &reg.counter("peer.deregistrations");
       for (std::size_t i = 0; i < cl_.nodes.size(); ++i) {
-        c_peer_node_bytes_.push_back(&reg.counter(
+        c_peer_node_bytes_.push_back(&cl_.obs->registry.counter(
             "peer.bytes_served", {{"node", "compute" + std::to_string(i)}}));
       }
     }
-    // Durable control plane: per-node manifest stores plus the restart /
-    // drain / adoption instruments. Same golden-pin rule as the tiers —
-    // a run that configures none of it must not create any of these.
     if (cfg_.manifest) {
       mgen_.resize(cl_.nodes.size());
       mmx_.resize(cl_.nodes.size());
@@ -225,51 +185,21 @@ class Engine {
         mstores_.push_back(
             std::make_unique<manifest::Store>(&node->disk_dir));
       }
-      c_manifest_pub_ = &reg.counter("manifest.publishes");
     }
-    if (cfg_.manifest || !cfg_.restart_at_s.empty() || cfg_.drain_node >= 0) {
-      c_restarts_ = &reg.counter("cloud.restart.count");
-      c_drains_ = &reg.counter("cloud.drain.count");
-      c_adopt_ok_ = &reg.counter("cloud.adopt.ok");
-      c_adopt_failed_ = &reg.counter("cloud.adopt.failed");
-      c_adopt_stale_ = &reg.counter("cloud.adopt.stale");
-      h_adopt_seconds_ = &reg.histogram("cloud.adopt.seconds", {},
-                                        {0.01, 0.05, 0.1, 0.5, 1, 5, 30});
-    }
-    // Dedup tier: same golden-pin rule as the peer tier — a dedup-off run
-    // must not even create the dedup.* instruments.
-    if (cfg_.dedup) {
-      didx_.resize(cl_.nodes.size());
+    if (cfg_.dedup) didx_.resize(cl_.nodes.size());
+    // The fingerprint memo doubles as the rebase diff oracle, so it is
+    // sized even when the dedup tier is off.
+    if (cfg_.dedup || cfg_.updates.enabled) {
       fp_memo_.resize(static_cast<std::size_t>(num_vmis_));
-      c_dedup_local_ = &reg.counter("dedup.local_hits");
-      c_dedup_zero_ = &reg.counter("dedup.zero_fills");
-      c_dedup_peer_ = &reg.counter("dedup.peer_hits");
-      c_dedup_fallback_ = &reg.counter("dedup.fallbacks");
-      c_dedup_bytes_local_ =
-          &reg.counter("dedup.bytes_served", {{"source", "local"}});
-      c_dedup_bytes_zero_ =
-          &reg.counter("dedup.bytes_served", {{"source", "zero"}});
-      c_dedup_bytes_peer_ =
-          &reg.counter("dedup.bytes_served", {{"source", "peer"}});
     }
-    // Image-update churn: the publish schedule and its instruments exist
-    // only when the workload is on (golden-pin rule). The schedule draws
-    // from its own fork of the run seed, so --updates never perturbs the
-    // arrival or failure streams. The fingerprint memo doubles as the
-    // rebase diff oracle, so it is sized even when the dedup tier is off.
+    // Image-update churn: the publish schedule exists only when the
+    // workload is on. The schedule draws from its own fork of the run
+    // seed, so --updates never perturbs the arrival or failure streams.
     catalog_ver_.assign(static_cast<std::size_t>(num_vmis_), 0);
     if (cfg_.updates.enabled) {
-      if (fp_memo_.empty()) {
-        fp_memo_.resize(static_cast<std::size_t>(num_vmis_));
-      }
       Rng urng(cfg_.seed ^ 0x1ba5e'ca7a'f00dull);
       update_events_ = update::generate_schedule(cfg_.updates, num_vmis_,
                                                  cfg_.horizon_s, urng);
-      c_upd_published_ = &reg.counter("update.published");
-      c_upd_invalidated_ = &reg.counter("update.invalidated");
-      c_upd_rebased_ = &reg.counter("update.rebased");
-      c_upd_patched_ = &reg.counter("update.rebase.patched_clusters");
-      c_upd_reused_ = &reg.counter("update.rebase.reused_clusters");
     }
   }
 
@@ -290,44 +220,90 @@ class Engine {
     cl_.env.spawn(arrivals());
     cl_.env.run();
 
-    for (std::size_t i = 0; i < sched_.size(); ++i) {
-      res_.leaked_slots += sched_[i].running_vms + rt_[i].inflight;
+    // Every count is read back from the instrument that counted it; a
+    // null instrument means its tier is off and the count is 0.
+    const auto n = [](const obs::Counter* c) -> std::uint64_t {
+      return c != nullptr ? c->value() : 0;
+    };
+    const auto i = [&n](const obs::Counter* c) {
+      return static_cast<int>(n(c));
+    };
+    CloudResult r;
+    r.arrivals = i(c_arrivals_);
+    r.completed = i(c_completed_);
+    r.aborted = i(c_aborted_);
+    r.rejected = i(c_rejected_);
+    r.retries = i(c_retries_);
+    r.deploy_failures = i(c_deploy_failures_);
+    r.crash_kills = i(c_crash_kills_);
+    r.vm_crashes = i(c_vm_crashes_);
+    r.warm_hits = i(c_warm_hits_);
+    r.copyback_skips = i(c_copyback_skips_);
+    r.node_crashes = i(c_node_crashes_);
+    r.node_recoveries = i(c_node_recoveries_);
+    r.caches_salvaged = i(c_cache_salvaged_);
+    r.caches_invalidated = i(c_cache_invalidated_);
+    r.restarts = i(c_restarts_);
+    r.drains = i(c_drains_);
+    r.caches_readopted = i(c_adopt_ok_);
+    r.adopt_failures = i(c_adopt_failed_);
+    r.adopt_stale = i(c_adopt_stale_);
+    r.manifest_publishes = n(c_manifest_pub_);
+    r.peer_seed_hits = n(c_peer_hits_);
+    r.peer_fallback_fills = n(c_peer_fallback_);
+    r.peer_bytes_served = n(c_peer_bytes_avoided_);
+    r.peer_timeouts = fabric_ ? fabric_->timeouts() : 0;
+    r.dedup_local_hits = n(c_dedup_local_);
+    r.dedup_zero_fills = n(c_dedup_zero_);
+    r.dedup_peer_hits = n(c_dedup_peer_);
+    r.dedup_fallbacks = n(c_dedup_fallback_);
+    r.dedup_bytes_served = n(c_dedup_bytes_local_) + n(c_dedup_bytes_zero_) +
+                           n(c_dedup_bytes_peer_);
+    r.updates_published = i(c_upd_published_);
+    r.caches_rebased = i(c_upd_rebased_);
+    r.update_invalidations = i(c_upd_invalidated_);
+    r.rebase_patched_clusters = n(c_upd_patched_);
+    r.rebase_reused_clusters = n(c_upd_reused_);
+    r.peak_queue_depth = peak_queue_depth_;
+    for (std::size_t ni = 0; ni < sched_.size(); ++ni) {
+      r.leaked_slots += sched_[ni].running_vms + rt_[ni].inflight;
+      for (const auto& [v, users] : rt_[ni].cache_users) {
+        (void)v;
+        r.leaked_refs += users;
+      }
+      r.leaked_refs += cl_.nodes[ni]->pool.total_pins();
+      r.cache_evictions += cl_.nodes[ni]->pool.evictions();
     }
-    res_.sim_seconds = sim::to_seconds(cl_.env.now());
-    res_.sim_events = cl_.env.events_processed();
-    res_.cache_hit_ratio =
-        res_.completed > 0
-            ? static_cast<double>(res_.warm_hits) /
-                  static_cast<double>(res_.completed)
+    r.sim_seconds = sim::to_seconds(cl_.env.now());
+    r.sim_events = cl_.env.events_processed();
+    r.cache_hit_ratio = r.completed > 0
+                            ? static_cast<double>(r.warm_hits) /
+                                  static_cast<double>(r.completed)
+                            : 0.0;
+    r.goodput_vms_per_hour =
+        r.sim_seconds > 0
+            ? static_cast<double>(r.completed) / (r.sim_seconds / 3600.0)
             : 0.0;
-    res_.goodput_vms_per_hour =
-        res_.sim_seconds > 0
-            ? static_cast<double>(res_.completed) / (res_.sim_seconds / 3600.0)
-            : 0.0;
-    for (const auto& node : cl_.nodes) {
-      res_.cache_evictions += node->pool.evictions();
-    }
-    res_.storage_payload_bytes = cl_.storage.nfs.stats().total_payload();
+    r.storage_payload_bytes = cl_.storage.nfs.stats().total_payload();
     if (!cfg_.restart_at_s.empty()) {
-      res_.post_restart_storage_bytes =
-          res_.storage_payload_bytes - restart_storage_mark_;
+      r.post_restart_storage_bytes =
+          r.storage_payload_bytes - restart_storage_mark_;
     }
-    if (res_.updates_published > 0) {
-      res_.post_update_storage_bytes =
-          res_.storage_payload_bytes - update_storage_mark_;
+    if (r.updates_published > 0) {
+      r.post_update_storage_bytes =
+          r.storage_payload_bytes - update_storage_mark_;
     }
-    res_.deploy = summarize(deploy_);
-    res_.queue_wait = summarize(qwait_);
-    res_.prepare = summarize(prep_);
-    res_.boot = summarize(boot_);
+    r.deploy = summarize(deploy_);
+    r.queue_wait = summarize(qwait_);
+    r.prepare = summarize(prep_);
+    r.boot = summarize(boot_);
 
     auto& reg = cl_.obs->registry;
-    reg.gauge("cloud.cache_hit_ratio").set(res_.cache_hit_ratio);
-    reg.gauge("cloud.goodput_vms_per_hour").set(res_.goodput_vms_per_hour);
+    reg.gauge("cloud.cache_hit_ratio").set(r.cache_hit_ratio);
+    reg.gauge("cloud.goodput_vms_per_hour").set(r.goodput_vms_per_hour);
     reg.gauge("cloud.peak_queue_depth")
-        .set(static_cast<double>(res_.peak_queue_depth));
-    reg.gauge("cloud.leaked_slots")
-        .set(static_cast<double>(res_.leaked_slots));
+        .set(static_cast<double>(r.peak_queue_depth));
+    reg.gauge("cloud.leaked_slots").set(static_cast<double>(r.leaked_slots));
     if (cfg_.dedup) {
       std::uint64_t locs = 0;
       for (const auto& di : didx_) locs += di.locations();
@@ -335,14 +311,14 @@ class Engine {
     }
     if (!cfg_.restart_at_s.empty()) {
       reg.gauge("cloud.restart.post_storage_bytes")
-          .set(static_cast<double>(res_.post_restart_storage_bytes));
+          .set(static_cast<double>(r.post_restart_storage_bytes));
     }
     if (cfg_.updates.enabled) {
       reg.gauge("update.post_storage_bytes")
-          .set(static_cast<double>(res_.post_update_storage_bytes));
+          .set(static_cast<double>(r.post_update_storage_bytes));
     }
-    res_.metrics = reg.snapshot();
-    return std::move(res_);
+    r.metrics = reg.snapshot();
+    return r;
   }
 
  private:
@@ -383,34 +359,55 @@ class Engine {
 
   // --- small helpers ---------------------------------------------------------
 
+  obs::Counter* counter(const std::string& name, obs::Labels labels = {},
+                        bool on = true) {
+    return on ? &cl_.obs->registry.counter(name, std::move(labels)) : nullptr;
+  }
+  obs::Histogram* latency(const std::string& name) {
+    return &cl_.obs->registry.histogram(
+        name, {}, {0.5, 1, 2, 5, 10, 20, 30, 60, 120, 300, 600});
+  }
+
+  /// Mutexes are created on first use.
+  sim::Mutex& lazy_mutex(std::unique_ptr<sim::Mutex>& p) {
+    if (!p) p = std::make_unique<sim::Mutex>(cl_.env);
+    return *p;
+  }
   sim::Mutex& prep_mutex(int ni, int vmi) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ni)) << 32) |
         static_cast<std::uint32_t>(vmi);
-    auto& p = prep_mx_[key];
-    if (!p) p = std::make_unique<sim::Mutex>(cl_.env);
-    return *p;
+    return lazy_mutex(prep_mx_[key]);
   }
-  sim::Mutex& push_mutex(int vmi) {
-    auto& p = push_mx_[vmi];
-    if (!p) p = std::make_unique<sim::Mutex>(cl_.env);
-    return *p;
-  }
+  sim::Mutex& push_mutex(int vmi) { return lazy_mutex(push_mx_[vmi]); }
 
   void track_peak() {
-    res_.peak_queue_depth = std::max(res_.peak_queue_depth, queue_.size());
+    peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
   }
+
+  /// The cache key of `vmi` at its current catalog version.
+  [[nodiscard]] VKey current_vkey(int vmi) const {
+    return vkey(vmi, catalog_ver_[static_cast<std::size_t>(vmi)]);
+  }
+  /// A cache of a superseded catalog version is stale however clean its
+  /// qcow2 state is: peer and dedup never serve it, and nothing adopts it.
+  [[nodiscard]] bool is_current(VKey vk) const {
+    return vk == current_vkey(vk_vmi(vk));
+  }
+
+  cluster::ComputeNode& node_of(int ni) {
+    return *cl_.nodes[static_cast<std::size_t>(ni)];
+  }
+  NodeRuntime& rt_of(int ni) { return rt_[static_cast<std::size_t>(ni)]; }
 
   /// A node's slot occupancy changed: re-index it for placement queries.
   void slots_changed(int ni) { idx_->node_changed(ni); }
 
-  void hold_file(int ni, VKey vk) {
-    ++rt_[static_cast<std::size_t>(ni)].cache_users[vk];
-  }
+  void hold_file(int ni, VKey vk) { ++rt_of(ni).cache_users[vk]; }
 
   /// Drop one user of a cache file; the last user out reclaims a zombie.
   void drop_file(int ni, VKey vk) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
     auto it = rt.cache_users.find(vk);
     if (it != rt.cache_users.end()) {
       if (--it->second > 0) return;
@@ -418,17 +415,58 @@ class Engine {
     }
     if (rt.zombies.count(vk) != 0) {
       rt.zombies.erase(vk);
-      auto& dd = cl_.nodes[static_cast<std::size_t>(ni)]->disk_dir;
-      const std::string cache = cluster::cache_file_for(img_name(vk));
-      if (dd.exists(cache)) dd.remove(cache);
-      rt.disk_caches.erase(vk);
+      remove_cache_file(ni, vk);
     }
   }
 
-  void release_cache(int ni, VKey vk, bool pinned) {
-    if (pinned) {
-      cl_.nodes[static_cast<std::size_t>(ni)]->pool.unpin(img_name(vk));
+  /// Delete `vk`'s cache file from node `ni`'s disk, if present, and from
+  /// the disk mirror. Only for files no coroutine holds open.
+  void remove_cache_file(int ni, VKey vk) {
+    auto& dd = node_of(ni).disk_dir;
+    const std::string cache = cluster::cache_file_for(img_name(vk));
+    if (dd.exists(cache)) dd.remove(cache);
+    rt_of(ni).disk_caches.erase(vk);
+  }
+
+  /// Delete a cache file now or, while a coroutine still holds it open,
+  /// mark it a zombie for the last holder to delete.
+  void discard_cache(int ni, VKey vk) {
+    NodeRuntime& rt = rt_of(ni);
+    if (rt.cache_users.count(vk) != 0) {
+      rt.zombies.insert(vk);
+    } else {
+      remove_cache_file(ni, vk);
     }
+  }
+
+  /// The node's cache of `img` is gone: so are its seed registration and
+  /// its indexed content. A no-op for tiers that are off.
+  void forget_cache(int ni, const std::string& img) {
+    if (cfg_.peer_transfer && seeds_.deregister(ni, img)) {
+      c_peer_dereg_->inc();
+    }
+    if (cfg_.dedup) {
+      didx_[static_cast<std::size_t>(ni)].remove_image(img);
+      if (cfg_.peer_transfer) seeds_.deregister_content(ni, img);
+    }
+  }
+
+  /// The node went down: every cache it held is suspect, so its whole
+  /// seed footprint and fingerprint index vanish at once. Salvage and
+  /// adoption re-register the survivors.
+  void forget_node(int ni) {
+    if (cfg_.peer_transfer) {
+      const std::size_t n = seeds_.deregister_node(ni);
+      if (n > 0) c_peer_dereg_->inc(n);
+    }
+    if (cfg_.dedup) {
+      didx_[static_cast<std::size_t>(ni)] = dedup::FingerprintIndex{};
+      if (cfg_.peer_transfer) seeds_.deregister_content_node(ni);
+    }
+  }
+
+  void release_cache(int ni, VKey vk) {
+    node_of(ni).pool.unpin(img_name(vk));
     drop_file(ni, vk);
   }
 
@@ -439,8 +477,8 @@ class Engine {
   /// placement's apply_eviction. Victims are unpinned by construction,
   /// so their files are safe to delete.
   void readopt(int ni, VKey vk) {
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    ComputeNode& node = node_of(ni);
+    NodeRuntime& rt = rt_of(ni);
     const std::string img = img_name(vk);
     const std::string cache = cluster::cache_file_for(img);
     rt.zombies.erase(vk);
@@ -449,11 +487,8 @@ class Engine {
     const auto ar =
         node.pool.admit(img, size.ok() ? *size : cfg_.cache_quota);
     for (const auto& victim : ar.evicted) {
-      const std::string vf = cluster::cache_file_for(victim);
-      if (node.disk_dir.exists(vf)) node.disk_dir.remove(vf);
-      rt.disk_caches.erase(vkey_of(victim));
-      peer_deregister(ni, victim);
-      dedup_forget(ni, victim);
+      remove_cache_file(ni, vkey_of(victim));
+      forget_cache(ni, victim);
     }
   }
 
@@ -461,17 +496,15 @@ class Engine {
   /// masquerade as a warm cache on the next attempt. Only removable once
   /// nobody holds it and the pool never admitted it.
   void scrub_failed_cache(int ni, VKey vk) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
+    ComputeNode& node = node_of(ni);
     const std::string img = img_name(vk);
     const std::string cache = cluster::cache_file_for(img);
     if (rt.cache_users.count(vk) != 0) return;
     if (!node.pool.contains(img) && node.disk_dir.exists(cache)) {
       rt.zombies.erase(vk);
-      node.disk_dir.remove(cache);
-      rt.disk_caches.erase(vk);
-      peer_deregister(ni, img);
-      dedup_forget(ni, img);
+      remove_cache_file(ni, vk);
+      forget_cache(ni, img);
     }
   }
 
@@ -483,9 +516,9 @@ class Engine {
   /// instead of O(num_vmis) probes. Zombies don't count: the crash
   /// invalidated them.
   void refresh_warm(int ni) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
     if (!rt.up) return;
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    ComputeNode& node = node_of(ni);
     std::set<std::string> warm;
     for (VKey v : rt.disk_caches) {
       if (rt.zombies.count(v) == 0) warm.insert(img_name(v));
@@ -508,29 +541,14 @@ class Engine {
     ws = std::move(warm);
   }
 
-  // --- peer cache tier -------------------------------------------------------
+  // --- cache borrow discipline -----------------------------------------------
 
   using MapKind = qcow2::Qcow2Device::MapKind;
+  using Extents = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-  /// Drop one (node, image) seed registration. Safe to call on the
-  /// eviction/scrub paths unconditionally: a no-op when the tier is off
-  /// or the node never registered.
-  void peer_deregister(int ni, const std::string& img) {
-    if (!cfg_.peer_transfer) return;
-    if (seeds_.deregister(ni, img)) c_peer_dereg_->inc();
-  }
-
-  /// Crash: every cache the node held is suspect, so its whole seed
-  /// footprint vanishes at once. Salvage re-registers the survivors.
-  void peer_deregister_node(int ni) {
-    if (!cfg_.peer_transfer) return;
-    const std::size_t n = seeds_.deregister_node(ni);
-    if (n > 0) c_peer_dereg_->inc(n);
-  }
-
-  /// Open a seed's cache file read-only with no backing chain: the peer
-  /// path must serve only locally-allocated clusters and must never
-  /// recurse into the seed's own NFS-mounted base image.
+  /// Open a cache file read-only with no backing chain: a borrower reads
+  /// only the file's own allocated clusters and must never recurse into
+  /// the owner's NFS-mounted base image.
   sim::Task<Result<block::DevicePtr>> open_cache_standalone(
       cluster::ComputeNode& node, const std::string& cache) {
     auto backend = node.fs.open_file("disk/" + cache, /*writable=*/false);
@@ -540,6 +558,72 @@ class Engine {
     o.no_backing = true;
     o.hub = cl_.obs;
     co_return co_await qcow2::open_any(std::move(*backend), o);
+  }
+
+  /// Borrow `vk`'s cache file on node `owner` while `body(q)` reads it
+  /// through a standalone device `q` (DESIGN.md, "Cache borrow
+  /// discipline"): pin against eviction, hold against a crash deleting
+  /// it, and close before drop_file, whose last holder may remove a
+  /// zombie. A `seed` borrow serves another node from one of the owner's
+  /// upload slots; its body runs only if the owner survived the open.
+  /// Returns the body's verdict, false if the open failed.
+  template <class Body>
+  sim::Task<bool> borrow_cache(int owner, VKey vk, bool seed, Body body) {
+    ComputeNode& node = node_of(owner);
+    const NodeRuntime& rt = rt_of(owner);
+    const std::uint64_t epoch = rt.epoch;
+    const std::string img = img_name(vk);
+    node.pool.pin(img);
+    hold_file(owner, vk);
+    if (seed) seeds_.begin_upload(owner);
+    bool served = false;
+    auto dv =
+        co_await open_cache_standalone(node, cluster::cache_file_for(img));
+    if (dv.ok()) {
+      auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
+      if (q != nullptr && (!seed || rt.epoch == epoch)) {
+        served = co_await body(*q);
+      }
+      (void)co_await (*dv)->close();
+    }
+    if (seed) seeds_.end_upload(owner);
+    drop_file(owner, vk);
+    node.pool.unpin(img);
+    co_return served;
+  }
+
+  /// Walk `q`'s allocation map over [lo, hi), handing each allocated
+  /// extent to `fn` as it is found (the walk's L2 reads advance the
+  /// clock, so coverage published from `fn` grows extent by extent).
+  /// Stops at an unreadable map, or at the first hole when
+  /// `stop_at_hole`. Returns the bytes found allocated.
+  template <class Fn>
+  sim::Task<std::uint64_t> allocated_extents(qcow2::Qcow2Device& q,
+                                             std::uint64_t lo,
+                                             std::uint64_t hi,
+                                             bool stop_at_hole, Fn fn) {
+    std::uint64_t found = 0;
+    for (std::uint64_t off = lo; off < hi;) {
+      auto ms = co_await q.map_status(off, hi - off);
+      if (!ms.ok() || ms->len == 0) break;
+      if (ms->kind != MapKind::unallocated) {
+        fn(off, off + ms->len);
+        found += ms->len;
+      } else if (stop_at_hole) {
+        break;
+      }
+      off += ms->len;
+    }
+    co_return found;
+  }
+
+  // --- peer cache tier -------------------------------------------------------
+
+  /// Seed `sn` moved `n` payload bytes that the storage node did not.
+  void count_peer_bytes(int sn, std::uint64_t n) {
+    seeds_.add_bytes_served(sn, n);
+    c_peer_node_bytes_[static_cast<std::size_t>(sn)]->inc(n);
+    c_peer_bytes_avoided_->inc(n);
   }
 
   /// Hook a freshly-opened deployment chain into the peer and dedup
@@ -564,16 +648,12 @@ class Engine {
     const bool want_idx =
         cfg_.dedup && !didx_[static_cast<std::size_t>(ni)].has_image(img);
     if (want_cov || want_idx) {
-      std::uint64_t off = 0;
-      while (off < q->size()) {
-        auto ms = co_await q->map_status(off, q->size() - off);
-        if (!ms.ok() || ms->len == 0) break;
-        if (ms->kind != MapKind::unallocated) {
-          if (want_cov) seeds_.add_coverage(ni, img, off, off + ms->len);
-          if (want_idx) index_fill(ni, vk, off, off + ms->len);
-        }
-        off += ms->len;
-      }
+      co_await allocated_extents(
+          *q, 0, q->size(), /*stop_at_hole=*/false,
+          [&](std::uint64_t lo, std::uint64_t hi) {
+            if (want_cov) seeds_.add_coverage(ni, img, lo, hi);
+            if (want_idx) index_fill(ni, vk, lo, hi);
+          });
     }
     q->set_cor_fill_observer(
         [this, ni, vk, img](std::uint64_t lo, std::uint64_t hi) {
@@ -582,9 +662,7 @@ class Engine {
           // The manifest's fill generation: "this cache gained content
           // since the last publish" is what a restarted reader needs to
           // distinguish from "untouched".
-          if (cfg_.manifest) {
-            ++mgen_[static_cast<std::size_t>(ni)][vk].fill;
-          }
+          if (cfg_.manifest) ++mgen(ni, vk).fill;
         });
     if (!cfg_.peer_transfer && !cfg_.dedup) co_return;
     q->set_backing_fetch_hook(
@@ -606,11 +684,29 @@ class Engine {
   [[nodiscard]] std::uint64_t cache_cluster_bytes() const {
     return 1ull << cfg_.cache_cluster_bits;
   }
+  /// Base-image bytes, from offset 0, that carry generated content.
+  [[nodiscard]] std::uint64_t content_limit() const {
+    return cfg_.content_bytes == 0
+               ? cfg_.profile.image_size
+               : std::min(cfg_.content_bytes, cfg_.profile.image_size);
+  }
 
   struct FpEntry {
     std::uint64_t fp = 0;
     bool zero = false;
   };
+
+  /// `len` bytes of `vk`'s base image at `pos`, zero past its end.
+  std::vector<std::uint8_t> read_base(VKey vk, std::uint64_t pos,
+                                      std::uint64_t len) {
+    std::vector<std::uint8_t> out(len, 0);
+    SparseBuffer* base = *cl_.storage.disk_dir.buffer(img_name(vk));
+    if (pos < base->size()) {
+      base->read(pos, {out.data(), static_cast<std::size_t>(std::min(
+                                       len, base->size() - pos))});
+    }
+    return out;
+  }
 
   /// Fingerprint of one cache cluster of a versioned image's base content
   /// (zero-padded to the full cluster). Host-side and memoized: manifests
@@ -624,14 +720,7 @@ class Engine {
     auto it = memo.find(key);
     if (it != memo.end()) return it->second;
     const std::uint64_t ccs = cache_cluster_bytes();
-    std::vector<std::uint8_t> buf(ccs, 0);
-    SparseBuffer* base = *cl_.storage.disk_dir.buffer(img_name(vk));
-    const std::uint64_t off = cluster * ccs;
-    if (off < base->size()) {
-      base->read(off, {buf.data(),
-                       static_cast<std::size_t>(
-                           std::min<std::uint64_t>(ccs, base->size() - off))});
-    }
+    const std::vector<std::uint8_t> buf = read_base(vk, cluster * ccs, ccs);
     FpEntry e;
     e.fp = fnv1a(buf);
     e.zero = std::all_of(buf.begin(), buf.end(),
@@ -646,13 +735,7 @@ class Engine {
   /// the fnv1a fingerprint only nominates candidates).
   [[nodiscard]] bool verify_content(VKey vk, std::uint64_t pos,
                                     std::span<const std::uint8_t> bytes) {
-    SparseBuffer* base = *cl_.storage.disk_dir.buffer(img_name(vk));
-    std::vector<std::uint8_t> want(bytes.size(), 0);
-    if (pos < base->size()) {
-      base->read(pos, {want.data(),
-                       static_cast<std::size_t>(std::min<std::uint64_t>(
-                           bytes.size(), base->size() - pos))});
-    }
+    const std::vector<std::uint8_t> want = read_base(vk, pos, bytes.size());
     return std::memcmp(want.data(), bytes.data(), bytes.size()) == 0;
   }
 
@@ -672,20 +755,6 @@ class Engine {
     }
   }
 
-  /// The node's cache of `img` is gone: forget its indexed content.
-  void dedup_forget(int ni, const std::string& img) {
-    if (!cfg_.dedup) return;
-    didx_[static_cast<std::size_t>(ni)].remove_image(img);
-    if (cfg_.peer_transfer) seeds_.deregister_content(ni, img);
-  }
-
-  /// Crash: the node's whole index is suspect, like its seed footprint.
-  void dedup_forget_node(int ni) {
-    if (!cfg_.dedup) return;
-    didx_[static_cast<std::size_t>(ni)] = dedup::FingerprintIndex{};
-    if (cfg_.peer_transfer) seeds_.deregister_content_node(ni);
-  }
-
   /// Serve one backing fetch by content: per overlapped cluster, zero
   /// detection, then the local fingerprint index (a sibling image's
   /// cache on this node), then — with the peer tier on — a peer
@@ -698,9 +767,7 @@ class Engine {
   sim::Task<Result<bool>> dedup_fetch(int ni, VKey vk, std::uint64_t vaddr,
                                       std::span<std::uint8_t> dst) {
     const std::uint64_t ccs = cache_cluster_bytes();
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     auto& di = didx_[static_cast<std::size_t>(ni)];
-    const std::string self = img_name(vk);
 
     struct Chunk {
       std::uint64_t dst_off = 0;  ///< offset into dst
@@ -718,7 +785,6 @@ class Engine {
     const std::uint64_t end = vaddr + dst.size();
     const std::uint64_t range_clusters = (end - 1) / ccs - vaddr / ccs + 1;
     auto fallthrough = [&]() {
-      res_.dedup_fallbacks += range_clusters;
       c_dedup_fallback_->inc(range_clusters);
       return false;
     };
@@ -743,15 +809,10 @@ class Engine {
       } else if (const auto* loc = di.find(e.fp); loc != nullptr) {
         local[loc->image].push_back(
             Chunk{pos - vaddr, loc->cluster * ccs + in_cl, take});
-      } else if (!up_nodes.empty()) {
-        const auto hit = seeds_.find_content(e.fp, up_nodes, ni,
-                                             cfg_.peer.max_uploads_per_seed);
-        if (hit) {
-          remote[{hit->node, hit->img}].push_back(
-              Chunk{pos - vaddr, hit->cluster * ccs + in_cl, take});
-        } else {
-          nfs.push_back(Chunk{pos - vaddr, pos, take});
-        }
+      } else if (const auto hit = seeds_.find_content(
+                     e.fp, up_nodes, ni, cfg_.peer.max_uploads_per_seed)) {
+        remote[{hit->node, hit->img}].push_back(
+            Chunk{pos - vaddr, hit->cluster * ccs + in_cl, take});
       } else {
         nfs.push_back(Chunk{pos - vaddr, pos, take});
       }
@@ -763,104 +824,55 @@ class Engine {
       co_return fallthrough();
     }
 
-    // Serve phase. Zero chunks are already memset. Local groups read the
-    // sibling cache through a standalone read-only device — charging this
-    // node's own disk, which is the point: a local copy beats an NFS
-    // round-trip. The verify guards against index staleness (an evicted-
-    // then-recreated file) the same way the peer path re-verifies.
+    // Serve phase. Zero chunks are already memset. Each source group is
+    // one borrow, every chunk verified (the index may be stale). Local
+    // groups read a sibling cache on this node's disk — a local copy beats
+    // an NFS round-trip. Remote groups are fingerprint-keyed peer fetches
+    // that re-check the seed's epoch after every suspension.
     std::uint64_t local_bytes = 0;
     std::uint64_t local_hits = 0;
-    for (const auto& [src_img, chunks] : local) {
-      const VKey sv = vkey_of(src_img);
-      if (!node.pool.contains(src_img)) {
-        co_return fallthrough();
-      }
-      node.pool.pin(src_img);
-      hold_file(ni, sv);
-      bool good = false;
-      auto dv =
-          co_await open_cache_standalone(node, cluster::cache_file_for(src_img));
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr) {
-          good = true;
-          for (const Chunk& ch : chunks) {
-            auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
-                                   static_cast<std::size_t>(ch.len));
-            auto rr = co_await q->read(ch.src_pos, sub);
-            if (!rr.ok() || !verify_content(vk, vaddr + ch.dst_off, sub)) {
-              good = false;
-              break;
-            }
-            local_bytes += ch.len;
-            ++local_hits;
-          }
-        }
-        (void)co_await (*dv)->close();
-      }
-      drop_file(ni, sv);
-      node.pool.unpin(src_img);
-      if (!good) {
-        co_return fallthrough();
-      }
-    }
-
-    // Remote groups: fingerprint-keyed peer fetch — same pin/hold/epoch
-    // discipline as peer_fetch, but addressed by content, so the serving
-    // image need not be the requested one.
     std::uint64_t peer_bytes = 0;
     std::uint64_t peer_hits = 0;
-    for (const auto& [key, chunks] : remote) {
-      const auto& [sn, src_img] = key;
-      NodeRuntime& srt = rt_[static_cast<std::size_t>(sn)];
-      ComputeNode& snode = *cl_.nodes[static_cast<std::size_t>(sn)];
-      if (!srt.up || !snode.pool.contains(src_img)) {
-        co_return fallthrough();
+    auto serve = [&](int owner, const std::string& src_img,
+                     const std::vector<Chunk>& chunks) -> sim::Task<bool> {
+      const bool via_peer = owner != ni;
+      const NodeRuntime& ort = rt_of(owner);
+      if ((via_peer && !ort.up) || !node_of(owner).pool.contains(src_img)) {
+        co_return false;
       }
-      const std::uint64_t seed_epoch = srt.epoch;
-      const VKey sv = vkey_of(src_img);
-      snode.pool.pin(src_img);
-      hold_file(sn, sv);
-      seeds_.begin_upload(sn);
-      bool good = false;
+      const std::uint64_t epoch = ort.epoch;
       std::uint64_t moved = 0;
-      auto dv = co_await open_cache_standalone(
-          snode, cluster::cache_file_for(src_img));
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr && srt.epoch == seed_epoch) {
-          good = true;
-          for (const Chunk& ch : chunks) {
-            auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
-                                   static_cast<std::size_t>(ch.len));
-            auto rr = co_await q->read(ch.src_pos, sub);
-            if (!rr.ok() || srt.epoch != seed_epoch ||
-                !verify_content(vk, vaddr + ch.dst_off, sub)) {
-              good = false;
-              break;
+      const bool good = co_await borrow_cache(
+          owner, vkey_of(src_img), /*seed=*/via_peer,
+          [&](qcow2::Qcow2Device& q) -> sim::Task<bool> {
+            for (const Chunk& ch : chunks) {
+              auto sub = dst.subspan(static_cast<std::size_t>(ch.dst_off),
+                                     static_cast<std::size_t>(ch.len));
+              auto rr = co_await q.read(ch.src_pos, sub);
+              if (!rr.ok() || (via_peer && ort.epoch != epoch) ||
+                  !verify_content(vk, vaddr + ch.dst_off, sub)) {
+                co_return false;
+              }
+              moved += ch.len;
             }
-            moved += ch.len;
-          }
-          if (good) {
+            if (!via_peer) co_return true;
             const bool done = co_await fabric_->transfer(
-                sn, ni, moved + cfg_.peer.per_fetch_overhead);
-            good = done && srt.epoch == seed_epoch;
-            if (!done) ++res_.peer_timeouts;
-          }
-        }
-        (void)co_await (*dv)->close();
-      }
-      seeds_.end_upload(sn);
-      drop_file(sn, sv);
-      snode.pool.unpin(src_img);
-      if (!good) {
+                owner, ni, moved + cfg_.peer.per_fetch_overhead);
+            co_return done && ort.epoch == epoch;
+          });
+      if (!good) co_return false;
+      (via_peer ? peer_bytes : local_bytes) += moved;
+      (via_peer ? peer_hits : local_hits) += chunks.size();
+      if (via_peer) count_peer_bytes(owner, moved);
+      co_return true;
+    };
+    for (const auto& [src_img, chunks] : local) {
+      if (!co_await serve(ni, src_img, chunks)) co_return fallthrough();
+    }
+    for (const auto& [key, chunks] : remote) {
+      if (!co_await serve(key.first, key.second, chunks)) {
         co_return fallthrough();
       }
-      peer_bytes += moved;
-      peer_hits += chunks.size();
-      seeds_.add_bytes_served(sn, moved);
-      c_peer_node_bytes_[static_cast<std::size_t>(sn)]->inc(moved);
-      c_peer_bytes_avoided_->inc(moved);
     }
 
     // NFS top-up: clusters no tier advertises still come from the storage
@@ -870,10 +882,9 @@ class Engine {
     // contiguity). These clusters count as fallbacks: they are the bytes
     // dedup could not keep off the storage node.
     if (!nfs.empty()) {
-      auto bf = node.fs.open_file("nfs-base/" + self, /*writable=*/false);
-      if (!bf.ok()) {
-        co_return fallthrough();
-      }
+      auto bf = node_of(ni).fs.open_file("nfs-base/" + img_name(vk),
+                                         /*writable=*/false);
+      if (!bf.ok()) co_return fallthrough();
       bool good = true;
       for (std::size_t i = 0; i < nfs.size() && good;) {
         std::size_t j = i + 1;
@@ -890,34 +901,18 @@ class Engine {
         good = rr.ok();
         i = j;
       }
-      if (!good) {
-        co_return fallthrough();
-      }
-      res_.dedup_fallbacks += nfs.size();
+      if (!good) co_return fallthrough();
       c_dedup_fallback_->inc(nfs.size());
     }
 
     // Whole range served — commit the accounting.
-    res_.dedup_local_hits += local_hits;
-    res_.dedup_peer_hits += peer_hits;
-    res_.dedup_zero_fills += zero_hits;
-    res_.dedup_bytes_served += zero_bytes + local_bytes + peer_bytes;
-    if (local_hits > 0) c_dedup_local_->inc(local_hits);
-    if (peer_hits > 0) c_dedup_peer_->inc(peer_hits);
-    if (zero_hits > 0) {
-      c_dedup_zero_->inc(zero_hits);
-      c_dedup_bytes_zero_->inc(zero_bytes);
-    }
-    if (local_bytes > 0) c_dedup_bytes_local_->inc(local_bytes);
-    if (peer_bytes > 0) c_dedup_bytes_peer_->inc(peer_bytes);
+    c_dedup_local_->inc(local_hits);
+    c_dedup_peer_->inc(peer_hits);
+    c_dedup_zero_->inc(zero_hits);
+    c_dedup_bytes_zero_->inc(zero_bytes);
+    c_dedup_bytes_local_->inc(local_bytes);
+    c_dedup_bytes_peer_->inc(peer_bytes);
     co_return true;
-  }
-
-  /// Account one fetch that fell back to the storage node's NFS mount.
-  void peer_fallback(obs::Counter* reason) {
-    ++res_.peer_fallback_fills;
-    c_peer_fallback_->inc();
-    reason->inc();
   }
 
   /// Serve one backing fetch from the least-loaded covering seed; true =
@@ -931,81 +926,47 @@ class Engine {
                                      std::span<std::uint8_t> dst) {
     const std::string img = img_name(vk);
     const std::set<int>* holders = idx_->warm_holders(img);
-    if (holders == nullptr) {
-      peer_fallback(c_peer_fb_miss_);
-      co_return false;
-    }
     const int seed =
-        seeds_.pick_seed(*holders, img, vaddr, vaddr + dst.size(), ni,
-                         cfg_.peer.max_uploads_per_seed);
-    if (seed < 0 || !rt_[static_cast<std::size_t>(seed)].up) {
-      peer_fallback(c_peer_fb_miss_);
-      co_return false;
-    }
-    NodeRuntime& srt = rt_[static_cast<std::size_t>(seed)];
-    const std::uint64_t seed_epoch = srt.epoch;
-    ComputeNode& snode = *cl_.nodes[static_cast<std::size_t>(seed)];
-    // Pin: eviction must not yank the file mid-upload. Hold: a crash must
-    // not delete it under the open backend (the zombie machinery). No
-    // suspension between pick_seed and these, so the pin cannot race the
-    // eviction it guards against.
-    snode.pool.pin(img);
-    hold_file(seed, vk);
-    seeds_.begin_upload(seed);
-    bool served = false;
-    obs::Counter* fb = c_peer_fb_error_;
-    auto dv =
-        co_await open_cache_standalone(snode, cluster::cache_file_for(img));
-    if (dv.ok()) {
-      auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-      if (q != nullptr && srt.epoch == seed_epoch) {
-        // Re-verify allocation against the file itself: registry coverage
-        // is advisory and may lag a repair. An unallocated cluster on a
-        // no_backing device would read as zeros — never serve those.
-        bool allocated = true;
-        std::uint64_t off = vaddr;
-        const std::uint64_t end = vaddr + dst.size();
-        while (off < end) {
-          auto ms = co_await q->map_status(off, end - off);
-          if (!ms.ok() || ms->len == 0 || ms->kind == MapKind::unallocated) {
-            allocated = false;
-            break;
-          }
-          off += ms->len;
-        }
-        if (!allocated) fb = c_peer_fb_miss_;
-        if (allocated && srt.epoch == seed_epoch) {
-          auto rr = co_await q->read(vaddr, dst);  // charges the seed's disk
-          if (rr.ok() && srt.epoch == seed_epoch) {
+        holders == nullptr
+            ? -1
+            : seeds_.pick_seed(*holders, img, vaddr, vaddr + dst.size(), ni,
+                               cfg_.peer.max_uploads_per_seed);
+    obs::Counter* fb = c_peer_fb_miss_;
+    if (seed >= 0 && rt_of(seed).up) {
+      const NodeRuntime& srt = rt_of(seed);
+      const std::uint64_t seed_epoch = srt.epoch;
+      fb = c_peer_fb_error_;
+      const bool served = co_await borrow_cache(
+          seed, vk, /*seed=*/true,
+          [&](qcow2::Qcow2Device& q) -> sim::Task<bool> {
+            // Re-verify allocation against the file itself: registry
+            // coverage is advisory and may lag a repair. An unallocated
+            // cluster on a no_backing device would read as zeros — never
+            // serve those.
+            const std::uint64_t allocated = co_await allocated_extents(
+                q, vaddr, vaddr + dst.size(), /*stop_at_hole=*/true,
+                [](std::uint64_t, std::uint64_t) {});
+            if (allocated < dst.size()) {
+              fb = c_peer_fb_miss_;
+              co_return false;
+            }
+            if (srt.epoch != seed_epoch) co_return false;
+            auto rr = co_await q.read(vaddr, dst);  // charges the seed's disk
+            if (!rr.ok() || srt.epoch != seed_epoch) co_return false;
             const bool done = co_await fabric_->transfer(
                 seed, ni, dst.size() + cfg_.peer.per_fetch_overhead);
-            if (done && srt.epoch == seed_epoch) {
-              served = true;
-            } else if (!done) {
-              fb = c_peer_fb_timeout_;
-              ++res_.peer_timeouts;
-            }
-          }
-        }
+            if (!done) fb = c_peer_fb_timeout_;
+            co_return done && srt.epoch == seed_epoch;
+          });
+      if (served) {
+        c_peer_hits_->inc();
+        count_peer_bytes(seed, dst.size());
+        co_return true;
       }
-      // Close before drop_file: reclaiming a zombie removes the file, and
-      // SimDirectory::remove under an open backend is forbidden.
-      (void)co_await (*dv)->close();
+      if (srt.epoch != seed_epoch) fb = c_peer_fb_crash_;
     }
-    if (!served && srt.epoch != seed_epoch) fb = c_peer_fb_crash_;
-    seeds_.end_upload(seed);
-    drop_file(seed, vk);
-    snode.pool.unpin(img);
-    if (served) {
-      ++res_.peer_seed_hits;
-      c_peer_hits_->inc();
-      res_.peer_bytes_served += dst.size();
-      seeds_.add_bytes_served(seed, dst.size());
-      c_peer_node_bytes_[static_cast<std::size_t>(seed)]->inc(dst.size());
-      c_peer_bytes_avoided_->inc(dst.size());
-      co_return true;
-    }
-    peer_fallback(fb);
+    c_peer_fallback_->inc();
+    fb->inc();
     co_return false;
   }
 
@@ -1021,17 +982,14 @@ class Engine {
       // Placement scores warmth against the *current* catalog version of
       // the request's image; caches of superseded versions never match.
       const int front_vmi = queue_.front().vmi;
-      const int ni = idx_->pick(
-          cfg_.policy,
-          img_name(vkey(front_vmi,
-                        catalog_ver_[static_cast<std::size_t>(front_vmi)])),
-          cfg_.cache_aware);
+      const int ni = idx_->pick(cfg_.policy, img_name(current_vkey(front_vmi)),
+                                cfg_.cache_aware);
       if (ni < 0) return;
       Pending r = queue_.front();
       queue_.pop_front();
       ++sched_[static_cast<std::size_t>(ni)].running_vms;
       slots_changed(ni);
-      ++rt_[static_cast<std::size_t>(ni)].inflight;
+      ++rt_of(ni).inflight;
       const double wait_s = sim::to_seconds(cl_.env.now() - r.enqueued);
       qwait_.add(wait_s);
       h_queue_wait_->observe(wait_s);
@@ -1042,11 +1000,9 @@ class Engine {
   /// Attempt failed: retry with exponential backoff, or abort for good.
   void fail_attempt(Pending r) {
     if (r.attempts >= cfg_.max_attempts) {
-      ++res_.aborted;
       c_aborted_->inc();
       return;
     }
-    ++res_.retries;
     c_retries_->inc();
     cl_.env.spawn(requeue_after(r));
   }
@@ -1066,32 +1022,32 @@ class Engine {
 
   // --- failure injection -----------------------------------------------------
 
-  sim::Task<void> crash_task(NodeCrash c) {
-    co_await cl_.env.delay(sim::from_seconds(c.at_s));
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(c.node)];
-    if (!rt.up) co_return;  // overlapping crash on a down node: no-op
-    ++res_.node_crashes;
-    c_node_crashes_->inc();
+  /// What taking a node out of service does with its cache files.
+  enum class Disown {
+    keep,     ///< all stay (orderly shutdown: consistent, for adoption)
+    salvage,  ///< held ones become zombies, idle ones stay as suspects
+    scrub,    ///< held ones become zombies, idle ones are deleted
+  };
+
+  /// Take node `ni` out of service (crash, restart, drain): placements
+  /// stop, anything running dies (tasks see the epoch change), and the
+  /// scheduler, peer, dedup and pool bookkeeping forget the node. In-use
+  /// files are never removed (SimDirectory::remove under an open backend
+  /// is the one thing the engine must never do). Only VMIs the mirror or
+  /// a holder knows about can have state here, so the sweep is
+  /// O(tracked), not O(num_vmis). Returns the suspects kept by `salvage`.
+  std::vector<VKey> disown_node(int ni, Disown how) {
+    NodeRuntime& rt = rt_of(ni);
     rt.up = false;
     ++rt.epoch;
-    cluster::NodeState& ns = sched_[static_cast<std::size_t>(c.node)];
+    cluster::NodeState& ns = sched_[static_cast<std::size_t>(ni)];
     ns.running_vms = 0;  // every running VM died with the node
     ns.vm_capacity = 0;  // no placements while down
-    slots_changed(c.node);
-    for (const auto& img : ns.warm_vmis) idx_->warm_removed(c.node, img);
+    slots_changed(ni);
+    for (const auto& img : ns.warm_vmis) idx_->warm_removed(ni, img);
     ns.warm_vmis.clear();
-    peer_deregister_node(c.node);
-    dedup_forget_node(c.node);
-    // Cache invalidation: a crashed node's caches are not trustworthy.
-    // In-use files become zombies either way (SimDirectory::remove under
-    // an open backend is the one thing the engine must never do, and a
-    // writer died mid-operation on them). Idle files are deleted outright
-    // in legacy mode; with crash_salvage they stay on disk as suspects
-    // for the recovery-time repair + check pass below. Only VMIs the
-    // mirror or a holder knows about can have state here — everything
-    // else has no pool entry and no file, so the sweep is O(tracked),
-    // not O(num_vmis).
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(c.node)];
+    forget_node(ni);
+    ComputeNode& node = node_of(ni);
     std::vector<VKey> suspects;
     std::set<VKey> tracked = rt.disk_caches;
     for (const auto& [v, users] : rt.cache_users) {
@@ -1107,115 +1063,118 @@ class Engine {
         continue;
       }
       rt.disk_caches.insert(v);
-      if (rt.cache_users.count(v) != 0) {
-        rt.zombies.insert(v);
-      } else if (cfg_.crash_salvage) {
+      if (how == Disown::keep) continue;
+      if (how == Disown::salvage && rt.cache_users.count(v) == 0) {
         suspects.push_back(v);
       } else {
-        node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
+        discard_cache(ni, v);
       }
     }
+    return suspects;
+  }
+
+  /// A verified cache rejoins the pool, the seed registry (advertising
+  /// its allocated extents `ext`) and the fingerprint index.
+  void register_verified(int ni, VKey vk, const Extents& ext) {
+    readopt(ni, vk);
+    const std::string img = img_name(vk);
+    if (cfg_.peer_transfer) {
+      if (seeds_.register_seed(ni, img)) c_peer_reg_->inc();
+      for (const auto& [lo, hi] : ext) seeds_.add_coverage(ni, img, lo, hi);
+    }
+    if (cfg_.dedup) {
+      for (const auto& [lo, hi] : ext) index_fill(ni, vk, lo, hi);
+    }
+  }
+
+  enum class Verdict { crashed, bad, good };
+
+  /// Re-verify an unowned cache file on node `ni`'s disk (crash salvage,
+  /// manifest adoption): open it writable (a dirty image auto-repairs),
+  /// check(), and gather its extents while open, so a survivor advertises
+  /// what repair left, not a stale earlier coverage. Clean and current:
+  /// re-registered; otherwise deleted. `crashed`: the node went down
+  /// again mid-verify and the caller must not touch it further. The
+  /// reads charge the node's disk: a verification cost, not a re-warm.
+  sim::Task<Verdict> verify_and_readopt(int ni, VKey vk,
+                                        std::uint64_t epoch) {
+    NodeRuntime& rt = rt_of(ni);
+    ComputeNode& node = node_of(ni);
+    const std::string cache = cluster::cache_file_for(img_name(vk));
+    hold_file(ni, vk);
+    bool good = false;
+    Extents ext;
+    auto dv = co_await qcow2::open_image(node.fs, "disk/" + cache,
+                                         /*writable=*/true,
+                                         /*cache_backing_ro=*/false, cl_.obs);
+    if (dv.ok()) {
+      auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
+      if (q != nullptr) {
+        auto chk = co_await q->check();
+        good = chk.ok() && chk->clean();
+        if (good && (cfg_.peer_transfer || cfg_.dedup)) {
+          co_await allocated_extents(
+              *q, 0, q->size(), /*stop_at_hole=*/false,
+              [&](std::uint64_t lo, std::uint64_t hi) {
+                ext.emplace_back(lo, hi);
+              });
+        }
+      }
+      (void)co_await (*dv)->close();
+    }
+    drop_file(ni, vk);
+    if (rt.epoch != epoch) co_return Verdict::crashed;
+    // An update can land while the check was in flight; re-validate.
+    if (good && is_current(vk)) {
+      register_verified(ni, vk, ext);
+      co_return Verdict::good;
+    }
+    discard_cache(ni, vk);
+    co_return Verdict::bad;
+  }
+
+  sim::Task<void> crash_task(NodeCrash c) {
+    co_await cl_.env.delay(sim::from_seconds(c.at_s));
+    NodeRuntime& rt = rt_of(c.node);
+    if (!rt.up) co_return;  // overlapping crash on a down node: no-op
+    c_node_crashes_->inc();
+    // A crashed node's caches are not trustworthy: in legacy mode the
+    // idle ones are deleted outright; with crash_salvage they wait for
+    // the salvage pass below.
+    const std::vector<VKey> suspects = disown_node(
+        c.node, cfg_.crash_salvage ? Disown::salvage : Disown::scrub);
+    ComputeNode& node = node_of(c.node);
     co_await cl_.env.delay(sim::from_seconds(c.down_s));
     rt.up = true;
     ++rt.epoch;  // a task that slept across down+up still sees a change
     const std::uint64_t recovery_epoch = rt.epoch;
-    // Salvage pass (capacity still 0, so no placements race it): open each
-    // suspect writable — a dirty image auto-repairs — then check; clean
-    // caches are re-adopted with their warm clusters intact, anything else
-    // is deleted. The open/check reads charge the node's disk, so salvage
-    // pays a verification cost instead of the full re-warm cost.
+    // Salvage pass (capacity still 0, so no placements race it): clean
+    // caches are re-adopted with their warm clusters intact.
     for (VKey v : suspects) {
       const std::string cache = cluster::cache_file_for(img_name(v));
       if (!node.disk_dir.exists(cache) || rt.zombies.count(v) != 0) {
         continue;
       }
-      // A cache of a superseded catalog version is stale no matter how
-      // clean its qcow2 state is: delete instead of re-verifying.
-      if (vk_ver(v) !=
-          catalog_ver_[static_cast<std::size_t>(vk_vmi(v))]) {
-        if (rt.cache_users.count(v) == 0) {
-          node.disk_dir.remove(cache);
-          rt.disk_caches.erase(v);
-        } else {
-          rt.zombies.insert(v);
-        }
-        ++res_.caches_invalidated;
+      // A superseded version: delete instead of re-verifying.
+      if (!is_current(v)) {
+        discard_cache(c.node, v);
         c_cache_invalidated_->inc();
         continue;
       }
-      hold_file(c.node, v);
-      bool good = false;
-      // Allocation extents gathered while the device is open: a salvaged
-      // cache re-registers as a peer seed with the coverage repair left
-      // behind, not the (possibly stale) pre-crash advertisement.
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> salvage_cov;
-      auto dv = co_await qcow2::open_image(node.fs, "disk/" + cache,
-                                           /*writable=*/true,
-                                           /*cache_backing_ro=*/false, cl_.obs);
-      if (dv.ok()) {
-        auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-        if (q != nullptr) {
-          auto chk = co_await q->check();
-          good = chk.ok() && chk->clean();
-          if (good && (cfg_.peer_transfer || cfg_.dedup)) {
-            std::uint64_t off = 0;
-            while (off < q->size()) {
-              auto ms = co_await q->map_status(off, q->size() - off);
-              if (!ms.ok() || ms->len == 0) break;
-              if (ms->kind != MapKind::unallocated) {
-                salvage_cov.emplace_back(off, off + ms->len);
-              }
-              off += ms->len;
-            }
-          }
-        }
-        (void)co_await (*dv)->close();
-      }
-      drop_file(c.node, v);
-      if (rt.epoch != recovery_epoch) co_return;  // crashed again mid-pass
-      // An update can land while the check was in flight; re-validate.
-      if (good &&
-          vk_ver(v) != catalog_ver_[static_cast<std::size_t>(vk_vmi(v))]) {
-        good = false;
-      }
-      if (good) {
-        readopt(c.node, v);
-        if (cfg_.peer_transfer) {
-          if (seeds_.register_seed(c.node, img_name(v))) c_peer_reg_->inc();
-          for (const auto& [lo, hi] : salvage_cov) {
-            seeds_.add_coverage(c.node, img_name(v), lo, hi);
-          }
-        }
-        if (cfg_.dedup) {
-          // Re-index the salvaged clusters: the crash dropped the node's
-          // whole index, and these are the survivors repair vouched for.
-          for (const auto& [lo, hi] : salvage_cov) {
-            index_fill(c.node, v, lo, hi);
-          }
-        }
-        if (cfg_.manifest) {
-          ++mgen_[static_cast<std::size_t>(c.node)][v].check;
-        }
-        ++res_.caches_salvaged;
-        c_cache_salvaged_->inc();
-      } else {
-        if (node.disk_dir.exists(cache)) node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
-        ++res_.caches_invalidated;
-        c_cache_invalidated_->inc();
-      }
+      const Verdict verdict =
+          co_await verify_and_readopt(c.node, v, recovery_epoch);
+      if (verdict == Verdict::crashed) co_return;  // crashed again mid-pass
+      if (verdict == Verdict::good && cfg_.manifest) ++mgen(c.node, v).check;
+      (verdict == Verdict::good ? c_cache_salvaged_ : c_cache_invalidated_)
+          ->inc();
     }
     // The on-disk manifest went stale the instant the node lost power
     // (crashes get no SIGTERM window); bring it back in line with what
     // salvage actually vouched for before accepting load again.
     co_await publish_manifest(c.node);
     if (rt.epoch != recovery_epoch) co_return;
-    ns.vm_capacity = cfg_.vm_slots_per_node;
-    slots_changed(c.node);
-    ++res_.node_recoveries;
     c_node_recoveries_->inc();
-    refresh_warm(c.node);
+    rejoin(c.node);
     dispatch();
   }
 
@@ -1225,6 +1184,9 @@ class Engine {
     std::uint64_t fill = 0;
     std::uint64_t check = 0;
   };
+  MGen& mgen(int ni, VKey vk) {
+    return mgen_[static_cast<std::size_t>(ni)][vk];
+  }
 
   /// Publish node `ni`'s current verified cache table to its durable
   /// manifest: every non-zombie cache the pool accounts for, with the
@@ -1236,14 +1198,11 @@ class Engine {
   /// the node is down.
   sim::Task<void> publish_manifest(int ni) {
     if (!cfg_.manifest) co_return;
-    if (!mmx_[static_cast<std::size_t>(ni)]) {
-      mmx_[static_cast<std::size_t>(ni)] =
-          std::make_unique<sim::Mutex>(cl_.env);
-    }
-    auto lk = co_await mmx_[static_cast<std::size_t>(ni)]->lock();
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    auto lk =
+        co_await lazy_mutex(mmx_[static_cast<std::size_t>(ni)]).lock();
+    NodeRuntime& rt = rt_of(ni);
     if (!rt.up) co_return;
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    ComputeNode& node = node_of(ni);
     manifest::NodeManifest m;
     for (VKey v : rt.disk_caches) {
       if (rt.zombies.count(v) != 0) continue;
@@ -1254,7 +1213,7 @@ class Engine {
       e.cache_file = cluster::cache_file_for(img);
       auto sz = node.disk_dir.file_size(e.cache_file);
       e.bytes = sz.ok() ? *sz : cfg_.cache_quota;
-      const MGen& g = mgen_[static_cast<std::size_t>(ni)][v];
+      const MGen& g = mgen(ni, v);
       e.fill_generation = g.fill;
       e.check_generation = g.check;
       e.dedup_indexed =
@@ -1268,60 +1227,12 @@ class Engine {
     }
     auto r = co_await mstores_[static_cast<std::size_t>(ni)]->publish(
         std::move(m));
-    if (r.ok()) {
-      ++res_.manifest_publishes;
-      c_manifest_pub_->inc();
-    }
+    if (r.ok()) c_manifest_pub_->inc();
   }
 
-  /// Planned power-off of one node (restart or drain): placements stop,
-  /// anything running dies (tasks see the epoch change), the peer /
-  /// dedup / pool bookkeeping forgets the node. With `keep_files`
-  /// (manifest on — an orderly shutdown leaves consistent files) the
-  /// cache files stay on disk for the adoption pass; otherwise they are
-  /// scrubbed like a legacy crash: in-use files become zombies, idle
-  /// files are deleted, and the node re-warms from zero.
-  void power_down(int ni, bool keep_files) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    rt.up = false;
-    ++rt.epoch;
-    cluster::NodeState& ns = sched_[static_cast<std::size_t>(ni)];
-    ns.running_vms = 0;
-    ns.vm_capacity = 0;
-    slots_changed(ni);
-    for (const auto& img : ns.warm_vmis) idx_->warm_removed(ni, img);
-    ns.warm_vmis.clear();
-    peer_deregister_node(ni);
-    dedup_forget_node(ni);
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
-    std::set<VKey> tracked = rt.disk_caches;
-    for (const auto& [v, users] : rt.cache_users) {
-      (void)users;
-      tracked.insert(v);
-    }
-    for (VKey v : tracked) {
-      const std::string img = img_name(v);
-      const std::string cache = cluster::cache_file_for(img);
-      node.pool.remove(img);
-      if (!node.disk_dir.exists(cache)) {
-        rt.disk_caches.erase(v);
-        continue;
-      }
-      rt.disk_caches.insert(v);
-      if (keep_files) continue;
-      if (rt.cache_users.count(v) != 0) {
-        rt.zombies.insert(v);
-      } else {
-        node.disk_dir.remove(cache);
-        rt.disk_caches.erase(v);
-      }
-    }
-  }
-
-  /// Cold rejoin (manifest off): capacity back, whatever files survived
-  /// (held ones a dying task has not dropped yet) stay unaccounted until
-  /// a warm hit readopts them.
-  void rejoin_cold(int ni) {
+  /// Capacity back after a power cycle. Files kept but not re-verified
+  /// stay unaccounted until a warm hit readopts them.
+  void rejoin(int ni) {
     sched_[static_cast<std::size_t>(ni)].vm_capacity = cfg_.vm_slots_per_node;
     slots_changed(ni);
     refresh_warm(ni);
@@ -1341,8 +1252,8 @@ class Engine {
   /// (including entries adopted so far); every resumption point below
   /// re-checks the epoch and bails without touching anything further.
   sim::Task<void> adopt_node(int ni) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
+    ComputeNode& node = node_of(ni);
     const std::uint64_t adopt_epoch = rt.epoch;
     const sim::SimTime t0 = cl_.env.now();
     auto lm = co_await mstores_[static_cast<std::size_t>(ni)]->load();
@@ -1358,7 +1269,6 @@ class Engine {
         if (v < 0 || v >= num_vmis_ ||
             e.cache_file != cluster::cache_file_for(e.image) ||
             !node.disk_dir.exists(e.cache_file)) {
-          ++res_.adopt_stale;
           c_adopt_stale_->inc();
           continue;
         }
@@ -1367,13 +1277,11 @@ class Engine {
         // catalog moved on while the node was down, so the bytes are
         // wrong even if the qcow2 file is pristine. Delete the file (it
         // would otherwise linger unaccounted) and degrade to cold.
-        if (vk_ver(k) != catalog_ver_[static_cast<std::size_t>(v)]) {
-          if (rt.cache_users.count(k) == 0 && rt.zombies.count(k) == 0 &&
-              node.disk_dir.exists(e.cache_file)) {
-            node.disk_dir.remove(e.cache_file);
+        if (!is_current(k)) {
+          if (rt.cache_users.count(k) == 0 && rt.zombies.count(k) == 0) {
+            remove_cache_file(ni, k);
           }
           rt.disk_caches.erase(k);
-          ++res_.adopt_stale;
           c_adopt_stale_->inc();
           continue;
         }
@@ -1383,65 +1291,12 @@ class Engine {
           // through the existing pool path once the holder drops it.
           continue;
         }
-        hold_file(ni, k);
-        bool good = false;
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> adopt_cov;
-        auto dv = co_await qcow2::open_image(node.fs, "disk/" + e.cache_file,
-                                             /*writable=*/true,
-                                             /*cache_backing_ro=*/false,
-                                             cl_.obs);
-        if (dv.ok()) {
-          auto* q = dynamic_cast<qcow2::Qcow2Device*>(dv->get());
-          if (q != nullptr) {
-            auto chk = co_await q->check();
-            good = chk.ok() && chk->clean();
-            if (good && (cfg_.peer_transfer || cfg_.dedup)) {
-              std::uint64_t off = 0;
-              while (off < q->size()) {
-                auto ms = co_await q->map_status(off, q->size() - off);
-                if (!ms.ok() || ms->len == 0) break;
-                if (ms->kind != MapKind::unallocated) {
-                  adopt_cov.emplace_back(off, off + ms->len);
-                }
-                off += ms->len;
-              }
-            }
-          }
-          (void)co_await (*dv)->close();
+        const Verdict verdict = co_await verify_and_readopt(ni, k, adopt_epoch);
+        if (verdict == Verdict::crashed) co_return;  // crashed mid-verify
+        if (verdict == Verdict::good) {
+          mgen(ni, k) = MGen{e.fill_generation, e.check_generation + 1};
         }
-        drop_file(ni, k);
-        if (rt.epoch != adopt_epoch) co_return;  // crashed mid-verify
-        // An update can land while the check was in flight; re-validate.
-        if (good && vk_ver(k) != catalog_ver_[static_cast<std::size_t>(v)]) {
-          good = false;
-        }
-        if (good) {
-          readopt(ni, k);
-          if (cfg_.peer_transfer) {
-            if (seeds_.register_seed(ni, e.image)) c_peer_reg_->inc();
-            for (const auto& [lo, hi] : adopt_cov) {
-              seeds_.add_coverage(ni, e.image, lo, hi);
-            }
-          }
-          if (cfg_.dedup) {
-            for (const auto& [lo, hi] : adopt_cov) {
-              index_fill(ni, k, lo, hi);
-            }
-          }
-          MGen& g = mgen_[static_cast<std::size_t>(ni)][k];
-          g.fill = e.fill_generation;
-          g.check = e.check_generation + 1;
-          ++res_.caches_readopted;
-          c_adopt_ok_->inc();
-        } else {
-          if (node.disk_dir.exists(e.cache_file) &&
-              rt.cache_users.count(k) == 0) {
-            node.disk_dir.remove(e.cache_file);
-          }
-          rt.disk_caches.erase(k);
-          ++res_.adopt_failures;
-          c_adopt_failed_->inc();
-        }
+        (verdict == Verdict::good ? c_adopt_ok_ : c_adopt_failed_)->inc();
       }
     }
     // Publish the post-adoption truth (failed entries are gone) before
@@ -1449,9 +1304,7 @@ class Engine {
     // pre-restart table and re-verify caches adoption already rejected.
     co_await publish_manifest(ni);
     if (rt.epoch != adopt_epoch) co_return;
-    sched_[static_cast<std::size_t>(ni)].vm_capacity = cfg_.vm_slots_per_node;
-    slots_changed(ni);
-    refresh_warm(ni);
+    rejoin(ni);
     h_adopt_seconds_->observe(sim::to_seconds(cl_.env.now() - t0));
     dispatch();
   }
@@ -1463,7 +1316,6 @@ class Engine {
   /// down (mid-crash) are skipped; their own recovery task restores them.
   sim::Task<void> restart_task(double at_s) {
     co_await cl_.env.delay(sim::from_seconds(at_s));
-    ++res_.restarts;
     c_restarts_->inc();
     std::vector<int> members;
     for (std::size_t i = 0; i < rt_.size(); ++i) {
@@ -1473,23 +1325,23 @@ class Engine {
       for (const int ni : members) co_await publish_manifest(ni);
       // A node can crash during the publishes; it is no longer ours to
       // restart.
-      std::erase_if(members, [this](int ni) {
-        return !rt_[static_cast<std::size_t>(ni)].up;
-      });
+      std::erase_if(members, [this](int ni) { return !rt_of(ni).up; });
     }
-    for (const int ni : members) power_down(ni, /*keep_files=*/cfg_.manifest);
+    for (const int ni : members) {
+      disown_node(ni, cfg_.manifest ? Disown::keep : Disown::scrub);
+    }
     co_await cl_.env.delay(sim::from_seconds(cfg_.restart_down_s));
     // Everything the storage node serves from here on is traffic the
     // restart caused: the re-warm bill a durable manifest avoids.
     restart_storage_mark_ = cl_.storage.nfs.stats().total_payload();
     for (const int ni : members) {
-      rt_[static_cast<std::size_t>(ni)].up = true;
-      ++rt_[static_cast<std::size_t>(ni)].epoch;
+      rt_of(ni).up = true;
+      ++rt_of(ni).epoch;
     }
     if (cfg_.manifest) {
       for (const int ni : members) cl_.env.spawn(adopt_node(ni));
     } else {
-      for (const int ni : members) rejoin_cold(ni);
+      for (const int ni : members) rejoin(ni);
       dispatch();
     }
   }
@@ -1501,9 +1353,8 @@ class Engine {
   sim::Task<void> drain_task() {
     co_await cl_.env.delay(sim::from_seconds(cfg_.drain_at_s));
     const int ni = cfg_.drain_node;
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
     if (!rt.up) co_return;  // crashed at drain time: nothing to drain
-    ++res_.drains;
     c_drains_->inc();
     const std::uint64_t drain_epoch = rt.epoch;
     cluster::NodeState& ns = sched_[static_cast<std::size_t>(ni)];
@@ -1515,14 +1366,14 @@ class Engine {
     }
     co_await publish_manifest(ni);
     if (rt.epoch != drain_epoch) co_return;
-    power_down(ni, /*keep_files=*/cfg_.manifest);
+    disown_node(ni, cfg_.manifest ? Disown::keep : Disown::scrub);
     co_await cl_.env.delay(sim::from_seconds(cfg_.drain_down_s));
     rt.up = true;
     ++rt.epoch;
     if (cfg_.manifest) {
       co_await adopt_node(ni);
     } else {
-      rejoin_cold(ni);
+      rejoin(ni);
       dispatch();
     }
   }
@@ -1554,20 +1405,11 @@ class Engine {
   /// itself — deferred to the last holder (zombie) when a running VM
   /// still has it open, exactly like the crash sweep.
   void retire_old(int ni, VKey old_vk) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
     const std::string img = img_name(old_vk);
-    const std::string cache = cluster::cache_file_for(img);
-    node.pool.remove(img);
-    peer_deregister(ni, img);
-    dedup_forget(ni, img);
+    node_of(ni).pool.remove(img);
+    forget_cache(ni, img);
     if (cfg_.manifest) mgen_[static_cast<std::size_t>(ni)].erase(old_vk);
-    if (rt.cache_users.count(old_vk) != 0) {
-      rt.zombies.insert(old_vk);  // last user out deletes the file
-    } else {
-      if (node.disk_dir.exists(cache)) node.disk_dir.remove(cache);
-      rt.disk_caches.erase(old_vk);
-    }
+    discard_cache(ni, old_vk);
   }
 
   /// Host-side publication of one image version: clone the previous
@@ -1587,10 +1429,7 @@ class Engine {
     nb->resize(cfg_.profile.image_size);
     const std::uint64_t ccs = cache_cluster_bytes();
     const std::uint64_t run_bytes = ccs * update::kChangedRunClusters;
-    const std::uint64_t limit =
-        cfg_.content_bytes == 0
-            ? cfg_.profile.image_size
-            : std::min(cfg_.content_bytes, cfg_.profile.image_size);
+    const std::uint64_t limit = content_limit();
     std::vector<std::uint8_t> run(run_bytes);
     for (std::uint64_t off = 0; off < limit; off += run_bytes) {
       const std::uint64_t c0 = off / ccs;
@@ -1620,21 +1459,20 @@ class Engine {
     const std::uint32_t old_ver =
         catalog_ver_[static_cast<std::size_t>(ev.vmi)];
     if (ev.to_version <= old_ver) co_return;
-    if (res_.updates_published == 0) {
+    if (c_upd_published_->value() == 0) {
       // Everything the storage node serves from here on is traffic the
       // churn caused: the refill bill a rebase exists to shrink.
       update_storage_mark_ = cl_.storage.nfs.stats().total_payload();
     }
     publish_base(ev.vmi, old_ver, ev.to_version);
     catalog_ver_[static_cast<std::size_t>(ev.vmi)] = ev.to_version;
-    ++res_.updates_published;
     c_upd_published_->inc();
     cl_.storage.mem_pool.remove(img_name(vkey(ev.vmi, old_ver)));
 
     const bool rebase = rebase_policy();
     std::vector<int> touched;
     for (int ni = 0; ni < static_cast<int>(rt_.size()); ++ni) {
-      NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+      NodeRuntime& rt = rt_of(ni);
       if (!rt.up) continue;
       std::vector<VKey> stale;
       for (VKey v : rt.disk_caches) {
@@ -1649,12 +1487,10 @@ class Engine {
         // is worth patching; anything else (unadmitted stragglers, a
         // version a downed node somehow kept) is dropped outright.
         if (rebase && vk_ver(v) == old_ver &&
-            cl_.nodes[static_cast<std::size_t>(ni)]->pool.contains(
-                img_name(v))) {
+            node_of(ni).pool.contains(img_name(v))) {
           cl_.env.spawn(rebase_task(ni, ev.vmi, old_ver, ev.to_version));
         } else {
           retire_old(ni, v);
-          ++res_.update_invalidations;
           c_upd_invalidated_->inc();
           invalidated = true;
         }
@@ -1688,8 +1524,8 @@ class Engine {
   /// creation — and degrades to plain invalidation on any failure.
   sim::Task<void> rebase_task(int ni, int vmi, std::uint32_t old_ver,
                               std::uint32_t new_ver) {
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
+    NodeRuntime& rt = rt_of(ni);
+    ComputeNode& node = node_of(ni);
     const VKey old_vk = vkey(vmi, old_ver);
     const VKey new_vk = vkey(vmi, new_ver);
     const std::string old_img = img_name(old_vk);
@@ -1700,7 +1536,7 @@ class Engine {
 
     auto lk = co_await prep_mutex(ni, vmi).lock();
     if (rt.epoch != epoch || !rt.up) co_return;  // node died while queued
-    if (catalog_ver_[static_cast<std::size_t>(vmi)] != new_ver) {
+    if (!is_current(new_vk)) {
       co_return;  // superseded while queued; the newer sweep owns cleanup
     }
     if (rt.zombies.count(old_vk) != 0 || rt.disk_caches.count(old_vk) == 0 ||
@@ -1711,201 +1547,128 @@ class Engine {
       // A placement built the new version's cache while we queued; the
       // old one is a plain drop.
       retire_old(ni, old_vk);
-      ++res_.update_invalidations;
       c_upd_invalidated_->inc();
       refresh_warm(ni);
       co_await publish_manifest(ni);
       co_return;
     }
 
-    hold_file(ni, old_vk);
-    node.pool.pin(old_img);  // the source must survive the whole copy
-    bool held_new = false;
-    bool ok = true;
-    block::DevicePtr old_dev;
-    block::DevicePtr new_dev;
     std::uint64_t patched = 0;
     std::uint64_t reused = 0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
+    Extents extents;
+    bool held_new = false;
+    // The diff oracle: does cache cluster `c` differ between the versions?
+    const auto cluster_changed = [this, old_vk, new_vk](std::uint64_t c) {
+      return fp_of(old_vk, c).fp != fp_of(new_vk, c).fp;
+    };
+    // The old cache is the carry-over source, borrowed for the whole copy:
+    // read-only and standalone, so carry-over reads hit only its allocated
+    // clusters and never recurse into its own NFS-mounted base.
+    const bool ok = co_await borrow_cache(
+        ni, old_vk, /*seed=*/false,
+        [&](qcow2::Qcow2Device& oq) -> sim::Task<bool> {
+          // 1. Its allocated extents are the warmth worth carrying over.
+          if (rt.epoch != epoch) co_return false;
+          co_await allocated_extents(
+              oq, 0, oq.size(), /*stop_at_hole=*/false,
+              [&](std::uint64_t lo, std::uint64_t hi) {
+                extents.emplace_back(lo, hi);
+              });
+          if (rt.epoch != epoch) co_return false;
 
-    // 1. Open the old cache standalone (read-only, no backing chain):
-    //    carry-over reads must hit only its allocated clusters and never
-    //    recurse into its own NFS-mounted base.
-    {
-      auto od = co_await open_cache_standalone(node, old_cache);
-      if (od.ok()) {
-        old_dev = std::move(*od);
-      } else {
-        ok = false;
-      }
-    }
-    auto* oq =
-        ok ? dynamic_cast<qcow2::Qcow2Device*>(old_dev.get()) : nullptr;
-    if (oq == nullptr) ok = false;
+          // 2. Create the new version's cache, backed by the new base.
+          qcow2::ChainImageOptions copt{
+              .cluster_bits = cfg_.cache_cluster_bits,
+              .virtual_size = cfg_.profile.image_size};
+          auto cr = co_await qcow2::create_cache_image(
+              node.fs, "disk/" + new_cache, "nfs-base/" + new_img,
+              cfg_.cache_quota, copt);
+          if (!cr.ok() || rt.epoch != epoch) co_return false;
+          rt.disk_caches.insert(new_vk);
+          hold_file(ni, new_vk);
+          held_new = true;
 
-    // 2. Its allocated extents are the warmth worth carrying over.
-    if (ok && rt.epoch == epoch) {
-      std::uint64_t off = 0;
-      while (off < oq->size()) {
-        auto ms = co_await oq->map_status(off, oq->size() - off);
-        if (!ms.ok() || ms->len == 0) break;
-        if (ms->kind != MapKind::unallocated) {
-          extents.emplace_back(off, off + ms->len);
-        }
-        off += ms->len;
-      }
-    }
-
-    // 3. Create the new versioned cache backed by the new base export.
-    if (ok && rt.epoch == epoch) {
-      qcow2::ChainImageOptions copt{.cluster_bits = cfg_.cache_cluster_bits,
-                                    .virtual_size = cfg_.profile.image_size};
-      auto cr = co_await qcow2::create_cache_image(node.fs,
-                                                   "disk/" + new_cache,
-                                                   "nfs-base/" + new_img,
-                                                   cfg_.cache_quota, copt);
-      if (cr.ok() && rt.epoch == epoch) {
-        rt.disk_caches.insert(new_vk);
-        hold_file(ni, new_vk);
-        held_new = true;
-      } else if (!cr.ok()) {
-        ok = false;
-      }
-    }
-
-    // 4. Open it writable and drive the carry-over through the CoR path.
-    if (ok && rt.epoch == epoch) {
-      auto nd = co_await qcow2::open_image(node.fs, "disk/" + new_cache,
-                                           /*writable=*/true,
-                                           /*cache_backing_ro=*/false,
-                                           cl_.obs);
-      if (nd.ok()) {
-        new_dev = std::move(*nd);
-      } else {
-        ok = false;
-      }
-    }
-    if (ok && rt.epoch == epoch) {
-      auto* nq = dynamic_cast<qcow2::Qcow2Device*>(new_dev.get());
-      if (nq == nullptr) {
-        ok = false;
-      } else {
-        if (cfg_.cache_compress) nq->set_cor_compress(true);
-        const std::uint64_t ccs = cache_cluster_bytes();
-        nq->set_backing_fetch_hook(
-            [this, oq, old_vk, new_vk, ccs](std::uint64_t vaddr,
-                                            std::span<std::uint8_t> dst)
-                -> sim::Task<Result<bool>> {
-              // Serve a range from the old cache only when every cache
-              // cluster it covers is content-identical across the two
-              // versions; anything else falls through to the NFS read
-              // of the new base.
-              const std::uint64_t lo = vaddr / ccs;
-              const std::uint64_t hi = (vaddr + dst.size() + ccs - 1) / ccs;
-              for (std::uint64_t c = lo; c < hi; ++c) {
-                if (fp_of(old_vk, c).fp != fp_of(new_vk, c).fp) {
-                  co_return false;
+          // 3. Open it writable and drive the carry-over through the CoR
+          //    path. It is closed before the borrow closes the old device
+          //    its fetch hook reads.
+          auto nd = co_await qcow2::open_image(node.fs, "disk/" + new_cache,
+                                               /*writable=*/true,
+                                               /*cache_backing_ro=*/false,
+                                               cl_.obs);
+          if (!nd.ok()) co_return false;
+          auto* nq = dynamic_cast<qcow2::Qcow2Device*>(nd->get());
+          bool copied = nq != nullptr && rt.epoch == epoch;
+          if (copied) {
+            if (cfg_.cache_compress) nq->set_cor_compress(true);
+            const std::uint64_t ccs = cache_cluster_bytes();
+            nq->set_backing_fetch_hook(
+                [q = &oq, ccs, cluster_changed](std::uint64_t vaddr,
+                                                std::span<std::uint8_t> dst)
+                    -> sim::Task<Result<bool>> {
+                  // Serve a range from the old cache only when every cache
+                  // cluster it covers is content-identical across the two
+                  // versions; anything else falls through to the NFS read
+                  // of the new base.
+                  const std::uint64_t lo = vaddr / ccs;
+                  const std::uint64_t hi = (vaddr + dst.size() + ccs - 1) / ccs;
+                  for (std::uint64_t c = lo; c < hi; ++c) {
+                    if (cluster_changed(c)) co_return false;
+                  }
+                  auto rr = co_await q->read(vaddr, dst);
+                  if (!rr.ok()) co_return rr.error();
+                  co_return true;
+                });
+            // Drive the fills in homogeneous changed/unchanged runs so each
+            // CoR pass resolves one way (and pays its one flush barrier for
+            // one kind of traffic).
+            std::vector<std::uint8_t> buf;
+            for (const auto& [elo, ehi] : extents) {
+              std::uint64_t pos = elo;
+              while (copied && pos < ehi) {
+                const std::uint64_t c0 = pos / ccs;
+                const bool changed = cluster_changed(c0);
+                std::uint64_t end = std::min(ehi, (c0 + 1) * ccs);
+                while (end < ehi && end - pos < kRebaseRunBytes &&
+                       cluster_changed(end / ccs) == changed) {
+                  end = std::min(ehi, (end / ccs + 1) * ccs);
                 }
+                buf.resize(static_cast<std::size_t>(end - pos));
+                auto rr = co_await nq->read(pos, buf);
+                if (rt.epoch != epoch || !is_current(new_vk) || !rr.ok()) {
+                  copied = false;
+                  break;
+                }
+                (changed ? patched : reused) += (end - pos + ccs - 1) / ccs;
+                pos = end;
               }
-              auto rr = co_await oq->read(vaddr, dst);
-              if (!rr.ok()) co_return rr.error();
-              co_return true;
-            });
-        // Drive the fills in homogeneous changed/unchanged runs so each
-        // CoR pass resolves one way (and pays its one flush barrier for
-        // one kind of traffic).
-        std::vector<std::uint8_t> buf;
-        for (const auto& [elo, ehi] : extents) {
-          std::uint64_t pos = elo;
-          while (ok && pos < ehi) {
-            const std::uint64_t c0 = pos / ccs;
-            const bool changed =
-                fp_of(old_vk, c0).fp != fp_of(new_vk, c0).fp;
-            std::uint64_t end = std::min(ehi, (c0 + 1) * ccs);
-            while (end < ehi && end - pos < kRebaseRunBytes) {
-              const std::uint64_t c = end / ccs;
-              const bool ch = fp_of(old_vk, c).fp != fp_of(new_vk, c).fp;
-              if (ch != changed) break;
-              end = std::min(ehi, (c + 1) * ccs);
+              if (!copied) break;
             }
-            buf.resize(static_cast<std::size_t>(end - pos));
-            auto rr = co_await nq->read(pos, buf);
-            if (rt.epoch != epoch ||
-                catalog_ver_[static_cast<std::size_t>(vmi)] != new_ver ||
-                !rr.ok()) {
-              ok = false;
-              break;
-            }
-            const std::uint64_t n = (end - pos + ccs - 1) / ccs;
-            if (changed) {
-              patched += n;
-            } else {
-              reused += n;
-            }
-            pos = end;
+            // The hook captures the old device; it must not outlive it.
+            nq->set_backing_fetch_hook({});
           }
-          if (!ok) break;
-        }
-        // The hook captures the old device; it must not outlive it.
-        nq->set_backing_fetch_hook({});
-      }
-    }
+          (void)co_await (*nd)->close();
+          co_return copied;
+        });
+    if (held_new) drop_file(ni, new_vk);
+    // Crashed under us: the crash sweep already disowned the node's caches.
+    if (rt.epoch != epoch) co_return;
 
-    // 5. Close before any drop can delete a file (close-before-drop).
-    if (new_dev) {
-      (void)co_await new_dev->close();
-      new_dev.reset();
-    }
-    if (old_dev) {
-      (void)co_await old_dev->close();
-      old_dev.reset();
-    }
-    if (rt.epoch != epoch) {
-      // Crashed under us: the crash sweep already disowned the node's
-      // caches; just release our holds (reclaiming any zombies).
-      node.pool.unpin(old_img);
-      drop_file(ni, old_vk);
-      if (held_new) drop_file(ni, new_vk);
-      co_return;
-    }
-
-    node.pool.unpin(old_img);
-    if (ok && catalog_ver_[static_cast<std::size_t>(vmi)] == new_ver) {
+    if (ok && is_current(new_vk)) {
       // Retire first so the old quota is free before the new admission.
       retire_old(ni, old_vk);
-      readopt(ni, new_vk);
-      if (cfg_.manifest) {
-        ++mgen_[static_cast<std::size_t>(ni)][new_vk].fill;
-      }
-      if (cfg_.peer_transfer &&
-          seeds_.register_seed(ni, new_img)) {
-        c_peer_reg_->inc();
-      }
-      for (const auto& [lo, hi] : extents) {
-        if (cfg_.peer_transfer) seeds_.add_coverage(ni, new_img, lo, hi);
-        if (cfg_.dedup) index_fill(ni, new_vk, lo, hi);
-      }
-      ++res_.caches_rebased;
+      register_verified(ni, new_vk, extents);
+      if (cfg_.manifest) ++mgen(ni, new_vk).fill;
       c_upd_rebased_->inc();
-      res_.rebase_patched_clusters += patched;
-      res_.rebase_reused_clusters += reused;
       c_upd_patched_->inc(patched);
       c_upd_reused_->inc(reused);
     } else {
       // Failed or superseded mid-flight: degrade to invalidation. The
       // partial new cache must not masquerade as warm, and the old one
       // is stale either way.
-      if (held_new) {
-        drop_file(ni, new_vk);
-        held_new = false;
-        scrub_failed_cache(ni, new_vk);
-      }
+      if (held_new) scrub_failed_cache(ni, new_vk);
       retire_old(ni, old_vk);
-      ++res_.update_invalidations;
       c_upd_invalidated_->inc();
     }
-    drop_file(ni, old_vk);
-    if (held_new) drop_file(ni, new_vk);
     refresh_warm(ni);
     co_await publish_manifest(ni);
     dispatch();
@@ -1917,28 +1680,26 @@ class Engine {
   /// the slot count was already zeroed by the crash, so only the inflight
   /// audit and the retry decision remain.
   void exit_killed(Pending r, int ni) {
-    ++res_.crash_kills;
     c_crash_kills_->inc();
-    --rt_[static_cast<std::size_t>(ni)].inflight;
+    --rt_of(ni).inflight;
     fail_attempt(r);
   }
 
   /// Exit path for an attempt that failed on an I/O error while the node
   /// stayed up: give the slot back and retry.
   void exit_failed(Pending r, int ni) {
-    ++res_.deploy_failures;
     c_deploy_failures_->inc();
     --sched_[static_cast<std::size_t>(ni)].running_vms;
     slots_changed(ni);
-    --rt_[static_cast<std::size_t>(ni)].inflight;
+    --rt_of(ni).inflight;
     refresh_warm(ni);
     fail_attempt(r);
     dispatch();
   }
 
   sim::Task<void> vm_task(Pending r, int ni) {
-    ComputeNode& node = *cl_.nodes[static_cast<std::size_t>(ni)];
-    NodeRuntime& rt = rt_[static_cast<std::size_t>(ni)];
+    ComputeNode& node = node_of(ni);
+    NodeRuntime& rt = rt_of(ni);
     const std::uint64_t epoch = rt.epoch;
     ++r.attempts;
     // Attempt-scoped CoW name: a retry of the same request must never
@@ -1950,19 +1711,36 @@ class Engine {
 
     const sim::SimTime prep0 = cl_.env.now();
     cluster::PlacementOutcome outcome;
-    bool pinned = false;
     block::DevicePtr dev;
     // The image version is read under the prepare lock (an update sweep
     // or rebase of this VMI holds the same lock), so one attempt sees one
     // consistent version end to end.
     VKey vk = 0;
     std::string img, cache;
+    // A pinned attempt that fails: drop its CoW layer, release the cache,
+    // and exit (killed if the node crashed under it).
+    auto give_up = [&]() {
+      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
+      release_cache(ni, vk);
+      if (rt.epoch != epoch) {
+        exit_killed(r, ni);
+      } else {
+        exit_failed(r, ni);
+      }
+    };
+    // Killed while running: already counted completed; just audit.
+    auto lost_running = [&]() {
+      c_vm_crashes_->inc();
+      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
+      release_cache(ni, vk);
+      --rt.inflight;
+    };
     {
       // Serialise the whole prepare per (node, VMI): two concurrent cold
       // misses must not both create the node cache; the loser waits and
       // then warm-hits the winner's file.
       auto lk = co_await prep_mutex(ni, r.vmi).lock();
-      vk = vkey(r.vmi, catalog_ver_[static_cast<std::size_t>(r.vmi)]);
+      vk = current_vkey(r.vmi);
       img = img_name(vk);
       cache = cluster::cache_file_for(img);
       hold_file(ni, vk);
@@ -1981,8 +1759,7 @@ class Engine {
       if (placed.ok()) {
         for (const auto& victim : placed->evicted) {
           rt.disk_caches.erase(vkey_of(victim));
-          peer_deregister(ni, victim);
-          dedup_forget(ni, victim);
+          forget_cache(ni, victim);
         }
       }
       if (rt.epoch != epoch) {
@@ -2001,33 +1778,20 @@ class Engine {
       // can evict the entry in between (single-threaded simulation).
       if (!node.pool.contains(img)) readopt(ni, vk);
       node.pool.pin(img);
-      pinned = true;
       const bool shared_ro = rt.cache_users[vk] > 1;
       qcow2::ChainImageOptions cow_opt{
           .cluster_bits = 16, .virtual_size = cfg_.profile.image_size};
       auto rcow = co_await qcow2::create_cow_image(node.fs, cow_path,
                                                    outcome.backing, cow_opt);
       if (rt.epoch != epoch || !rcow.ok()) {
-        if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-        release_cache(ni, vk, pinned);
-        if (rt.epoch != epoch) {
-          exit_killed(r, ni);
-        } else {
-          exit_failed(r, ni);
-        }
+        give_up();
         co_return;
       }
       auto dv = co_await qcow2::open_image(node.fs, cow_path,
                                            /*writable=*/true, shared_ro,
                                            cl_.obs);
       if (rt.epoch != epoch || !dv.ok()) {
-        if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-        release_cache(ni, vk, pinned);
-        if (rt.epoch != epoch) {
-          exit_killed(r, ni);
-        } else {
-          exit_failed(r, ni);
-        }
+        give_up();
         co_return;
       }
       dev = std::move(*dv);
@@ -2052,16 +1816,8 @@ class Engine {
         static_cast<std::size_t>(r.vmi)]);
     (void)co_await dev->close();
     dev.reset();
-    if (rt.epoch != epoch) {
-      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
-      exit_killed(r, ni);
-      co_return;
-    }
-    if (!br.ok()) {
-      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
-      exit_failed(r, ni);
+    if (rt.epoch != epoch || !br.ok()) {
+      give_up();
       co_return;
     }
 
@@ -2074,21 +1830,14 @@ class Engine {
         sim::to_seconds(cl_.env.now() - r.first_enqueued);
     deploy_.add(deploy_s);
     h_deploy_->observe(deploy_s);
-    ++res_.completed;
     c_completed_->inc();
     if (outcome.action == cluster::PlacementOutcome::Action::local_warm_hit) {
-      ++res_.warm_hits;
       c_warm_hits_->inc();
     }
 
     co_await cl_.env.delay(sim::from_seconds(r.lifetime_s));
     if (rt.epoch != epoch) {
-      // Killed while running: already counted completed; just audit.
-      ++res_.vm_crashes;
-      c_vm_crashes_->inc();
-      if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
-      release_cache(ni, vk, pinned);
-      --rt.inflight;
+      lost_running();
       co_return;
     }
 
@@ -2099,11 +1848,10 @@ class Engine {
     // bandwidth and can never be served again.
     if (node.disk_dir.exists(cow_file)) node.disk_dir.remove(cow_file);
     if (outcome.copy_back_on_shutdown && node.disk_dir.exists(cache) &&
-        vk_ver(vk) == catalog_ver_[static_cast<std::size_t>(r.vmi)]) {
+        is_current(vk)) {
       if (gate_.down()) {
         // Best-effort: the cache stays node-local; a later shutdown of
         // another fresh creator (or a re-placement) tries again.
-        ++res_.copyback_skips;
         c_copyback_skips_->inc();
       } else {
         // Serialised per VMI so two creators never write the storage-side
@@ -2116,17 +1864,14 @@ class Engine {
           cl_.storage.mem_pool.touch(img);
         }
         if (rt.epoch != epoch) {
-          ++res_.vm_crashes;
-          c_vm_crashes_->inc();
-          release_cache(ni, vk, pinned);
-          --rt.inflight;
+          lost_running();
           co_return;
         }
       }
     }
     --sched_[static_cast<std::size_t>(ni)].running_vms;
     slots_changed(ni);
-    release_cache(ni, vk, pinned);
+    release_cache(ni, vk);
     refresh_warm(ni);
     // The VM's lifetime of CoR fills grew the cache; persist the final
     // coverage and fill generation now that the file is quiescent.
@@ -2141,10 +1886,8 @@ class Engine {
     for (const auto& req : reqs_) {
       const sim::SimTime t = sim::from_seconds(req.arrival_s);
       if (t > cl_.env.now()) co_await cl_.env.delay(t - cl_.env.now());
-      ++res_.arrivals;
       c_arrivals_->inc();
       if (queue_.size() >= cfg_.max_queue_depth) {
-        ++res_.rejected;
         c_rejected_->inc();
         continue;
       }
@@ -2174,46 +1917,15 @@ class Engine {
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Mutex>> prep_mx_;
   std::unordered_map<int, std::unique_ptr<sim::Mutex>> push_mx_;
   int next_id_ = 0;
-  CloudResult res_;
+  std::size_t peak_queue_depth_ = 0;
   Samples deploy_, qwait_, prep_, boot_;
-  obs::Counter* c_arrivals_ = nullptr;
-  obs::Counter* c_completed_ = nullptr;
-  obs::Counter* c_aborted_ = nullptr;
-  obs::Counter* c_rejected_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_deploy_failures_ = nullptr;
-  obs::Counter* c_crash_kills_ = nullptr;
-  obs::Counter* c_vm_crashes_ = nullptr;
-  obs::Counter* c_warm_hits_ = nullptr;
-  obs::Counter* c_copyback_skips_ = nullptr;
-  obs::Counter* c_node_crashes_ = nullptr;
-  obs::Counter* c_node_recoveries_ = nullptr;
-  obs::Counter* c_cache_salvaged_ = nullptr;
-  obs::Counter* c_cache_invalidated_ = nullptr;
   // Peer cache tier (all dormant unless cfg_.peer_transfer).
   peer::SeedRegistry seeds_;
   std::optional<peer::Fabric> fabric_;
-  obs::Counter* c_peer_hits_ = nullptr;
-  obs::Counter* c_peer_fallback_ = nullptr;
-  obs::Counter* c_peer_fb_miss_ = nullptr;
-  obs::Counter* c_peer_fb_timeout_ = nullptr;
-  obs::Counter* c_peer_fb_crash_ = nullptr;
-  obs::Counter* c_peer_fb_error_ = nullptr;
-  obs::Counter* c_peer_bytes_avoided_ = nullptr;
-  obs::Counter* c_peer_reg_ = nullptr;
-  obs::Counter* c_peer_dereg_ = nullptr;
-  std::vector<obs::Counter*> c_peer_node_bytes_;
   // Dedup tier (all dormant unless cfg_.dedup).
   std::vector<dedup::FingerprintIndex> didx_;  ///< one per node
   /// Per-VMI memoized cluster fingerprints (host-side manifests).
   std::vector<std::unordered_map<std::uint64_t, FpEntry>> fp_memo_;
-  obs::Counter* c_dedup_local_ = nullptr;
-  obs::Counter* c_dedup_zero_ = nullptr;
-  obs::Counter* c_dedup_peer_ = nullptr;
-  obs::Counter* c_dedup_fallback_ = nullptr;
-  obs::Counter* c_dedup_bytes_local_ = nullptr;
-  obs::Counter* c_dedup_bytes_zero_ = nullptr;
-  obs::Counter* c_dedup_bytes_peer_ = nullptr;
   // Durable control plane (all dormant unless cfg_.manifest or a
   // restart/drain is configured).
   std::vector<std::unique_ptr<manifest::Store>> mstores_;  ///< one per node
@@ -2232,22 +1944,80 @@ class Engine {
   std::vector<update::UpdateEvent> update_events_;
   /// Storage payload served before the first catalog publish.
   std::uint64_t update_storage_mark_ = 0;
-  obs::Counter* c_upd_published_ = nullptr;
-  obs::Counter* c_upd_invalidated_ = nullptr;
-  obs::Counter* c_upd_rebased_ = nullptr;
-  obs::Counter* c_upd_patched_ = nullptr;
-  obs::Counter* c_upd_reused_ = nullptr;
-  obs::Counter* c_manifest_pub_ = nullptr;
-  obs::Counter* c_restarts_ = nullptr;
-  obs::Counter* c_drains_ = nullptr;
-  obs::Counter* c_adopt_ok_ = nullptr;
-  obs::Counter* c_adopt_failed_ = nullptr;
-  obs::Counter* c_adopt_stale_ = nullptr;
-  obs::Histogram* h_adopt_seconds_ = nullptr;
-  obs::Histogram* h_deploy_ = nullptr;
-  obs::Histogram* h_queue_wait_ = nullptr;
-  obs::Histogram* h_prepare_ = nullptr;
-  obs::Histogram* h_boot_ = nullptr;
+
+  // Instruments, bound once; run() reads every CloudResult count from
+  // them. A tier's exist only while it is on (null otherwise), so a
+  // tier-off snapshot stays what it was before the tier (golden pins).
+  obs::Counter* c_arrivals_ = counter("cloud.arrivals");
+  obs::Counter* c_completed_ = counter("cloud.completed");
+  obs::Counter* c_aborted_ = counter("cloud.aborted");
+  obs::Counter* c_rejected_ = counter("cloud.rejected");
+  obs::Counter* c_retries_ = counter("cloud.retries");
+  obs::Counter* c_deploy_failures_ = counter("cloud.deploy_failures");
+  obs::Counter* c_crash_kills_ = counter("cloud.crash_kills");
+  obs::Counter* c_vm_crashes_ = counter("cloud.vm_crashes");
+  obs::Counter* c_warm_hits_ = counter("cloud.warm_hits");
+  obs::Counter* c_copyback_skips_ = counter("cloud.copyback_skips");
+  obs::Counter* c_node_crashes_ = counter("cloud.node_crashes");
+  obs::Counter* c_node_recoveries_ = counter("cloud.node_recoveries");
+  obs::Counter* c_cache_salvaged_ = counter("cloud.cache_salvaged");
+  obs::Counter* c_cache_invalidated_ = counter("cloud.cache_invalidated");
+  obs::Histogram* h_deploy_ = latency("cloud.deploy_seconds");
+  obs::Histogram* h_queue_wait_ = latency("cloud.queue_wait_seconds");
+  obs::Histogram* h_prepare_ = latency("cloud.prepare_seconds");
+  obs::Histogram* h_boot_ = latency("cloud.boot_seconds");
+  const bool peer_ = cfg_.peer_transfer;
+  obs::Counter* c_peer_hits_ = counter("peer.seed_hits", {}, peer_);
+  obs::Counter* c_peer_fallback_ = counter("peer.fallback_fills", {}, peer_);
+  obs::Counter* c_peer_fb_miss_ =
+      counter("peer.fallback", {{"reason", "miss"}}, peer_);
+  obs::Counter* c_peer_fb_timeout_ =
+      counter("peer.fallback", {{"reason", "timeout"}}, peer_);
+  obs::Counter* c_peer_fb_crash_ =
+      counter("peer.fallback", {{"reason", "crash"}}, peer_);
+  obs::Counter* c_peer_fb_error_ =
+      counter("peer.fallback", {{"reason", "error"}}, peer_);
+  obs::Counter* c_peer_bytes_avoided_ =
+      counter("peer.storage_bytes_avoided", {}, peer_);
+  obs::Counter* c_peer_reg_ = counter("peer.registrations", {}, peer_);
+  obs::Counter* c_peer_dereg_ = counter("peer.deregistrations", {}, peer_);
+  std::vector<obs::Counter*> c_peer_node_bytes_;  ///< one per node
+  const bool dedup_ = cfg_.dedup;
+  obs::Counter* c_dedup_local_ = counter("dedup.local_hits", {}, dedup_);
+  obs::Counter* c_dedup_zero_ = counter("dedup.zero_fills", {}, dedup_);
+  obs::Counter* c_dedup_peer_ = counter("dedup.peer_hits", {}, dedup_);
+  obs::Counter* c_dedup_fallback_ = counter("dedup.fallbacks", {}, dedup_);
+  obs::Counter* c_dedup_bytes_local_ =
+      counter("dedup.bytes_served", {{"source", "local"}}, dedup_);
+  obs::Counter* c_dedup_bytes_zero_ =
+      counter("dedup.bytes_served", {{"source", "zero"}}, dedup_);
+  obs::Counter* c_dedup_bytes_peer_ =
+      counter("dedup.bytes_served", {{"source", "peer"}}, dedup_);
+  const bool updates_ = cfg_.updates.enabled;
+  obs::Counter* c_upd_published_ = counter("update.published", {}, updates_);
+  obs::Counter* c_upd_invalidated_ =
+      counter("update.invalidated", {}, updates_);
+  obs::Counter* c_upd_rebased_ = counter("update.rebased", {}, updates_);
+  obs::Counter* c_upd_patched_ =
+      counter("update.rebase.patched_clusters", {}, updates_);
+  obs::Counter* c_upd_reused_ =
+      counter("update.rebase.reused_clusters", {}, updates_);
+  obs::Counter* c_manifest_pub_ =
+      counter("manifest.publishes", {}, cfg_.manifest);
+  /// Restart, drain and adoption instruments: on with the manifest or
+  /// any planned power cycle.
+  const bool durable_ =
+      cfg_.manifest || !cfg_.restart_at_s.empty() || cfg_.drain_node >= 0;
+  obs::Counter* c_restarts_ = counter("cloud.restart.count", {}, durable_);
+  obs::Counter* c_drains_ = counter("cloud.drain.count", {}, durable_);
+  obs::Counter* c_adopt_ok_ = counter("cloud.adopt.ok", {}, durable_);
+  obs::Counter* c_adopt_failed_ = counter("cloud.adopt.failed", {}, durable_);
+  obs::Counter* c_adopt_stale_ = counter("cloud.adopt.stale", {}, durable_);
+  obs::Histogram* h_adopt_seconds_ =
+      durable_ ? &cl_.obs->registry.histogram(
+                     "cloud.adopt.seconds", {},
+                     {0.01, 0.05, 0.1, 0.5, 1, 5, 30})
+               : nullptr;
 
   using ComputeNode = cluster::ComputeNode;
 };

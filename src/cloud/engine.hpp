@@ -185,12 +185,17 @@ struct CloudResult {
   std::uint64_t post_restart_storage_bytes = 0;
   /// VM slots still held after the run drained; must be 0.
   int leaked_slots = 0;
+  /// Cache-file holds plus cache-pool pins still outstanding after the
+  /// run drained; must be 0 (every borrow was released).
+  int leaked_refs = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t storage_payload_bytes = 0;
   // Peer cache tier accounting (all zero when peer_transfer is off).
   std::uint64_t peer_seed_hits = 0;  ///< backing fetches served by a seed
   std::uint64_t peer_fallback_fills = 0;  ///< fetches that fell back to NFS
-  std::uint64_t peer_bytes_served = 0;  ///< payload bytes moved peer-to-peer
+  /// Payload bytes moved peer-to-peer, by image range and by content
+  /// (the peer.storage_bytes_avoided total).
+  std::uint64_t peer_bytes_served = 0;
   std::uint64_t peer_timeouts = 0;  ///< transfers abandoned past the deadline
   // Content-addressed dedup accounting (all zero when dedup is off).
   std::uint64_t dedup_local_hits = 0;  ///< clusters filled from a sibling cache

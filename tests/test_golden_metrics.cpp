@@ -169,6 +169,7 @@ TEST(GoldenMetrics, CloudSmallScenarioPinnedValues) {
   EXPECT_EQ(r.retries, 0);
   EXPECT_EQ(r.warm_hits, 14);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
   EXPECT_EQ(r.cache_evictions, 1u);
   EXPECT_EQ(r.storage_payload_bytes, 396725760u);
   EXPECT_NEAR(r.cache_hit_ratio, 0.7, 1e-9);
@@ -385,6 +386,7 @@ TEST(GoldenMetrics, CloudCrashSalvagePinnedValues) {
   EXPECT_EQ(r.node_crashes, 1);
   EXPECT_EQ(r.node_recoveries, 1);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
   EXPECT_EQ(r.caches_salvaged, 1);
   EXPECT_EQ(r.caches_invalidated, 0);
 
@@ -427,6 +429,7 @@ TEST(GoldenMetrics, RestartAdoptPinnedValues) {
   EXPECT_EQ(r.manifest_publishes, 42u);
   EXPECT_EQ(r.post_restart_storage_bytes, 104179720u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
 
   const obs::MetricsSnapshot& m = r.metrics;
   EXPECT_EQ(m.counter_total("cloud.adopt.ok"), 4u);
@@ -503,6 +506,7 @@ TEST(GoldenMetrics, CloudTiersPinnedValues) {
     EXPECT_EQ(r.manifest_publishes, 69u);
     EXPECT_EQ(r.post_restart_storage_bytes, 11315216u);
     EXPECT_EQ(r.leaked_slots, 0);
+    EXPECT_EQ(r.leaked_refs, 0);
     EXPECT_EQ(r.cache_evictions, 0u);
     EXPECT_EQ(r.storage_payload_bytes, 24190992u);
     EXPECT_EQ(r.peer_seed_hits, 0u);
@@ -538,6 +542,9 @@ TEST(GoldenMetrics, CloudTiersPinnedValues) {
     EXPECT_EQ(fallbacks_for(m, "error"), 0u);
     EXPECT_EQ(m.counter_total("peer.storage_bytes_avoided"), 626688u);
     EXPECT_EQ(m.counter_total("peer.bytes_served"), 626688u);
+    // Every peer-moved byte counts, the content-addressed ones included
+    // (here all of them: with dedup on, peer_fetch itself serves none).
+    EXPECT_EQ(r.peer_bytes_served, 626688u);
     EXPECT_EQ(m.counter_total("peer.registrations"), 23u);
     EXPECT_EQ(m.counter_total("peer.deregistrations"), 13u);
     EXPECT_EQ(m.counter_total("update.rebase.patched_clusters"), 34u);
@@ -568,6 +575,7 @@ TEST(GoldenMetrics, CloudTiersPinnedValues) {
     EXPECT_EQ(r.caches_salvaged, 2);
     EXPECT_EQ(r.caches_invalidated, 0);
     EXPECT_EQ(r.leaked_slots, 0);
+    EXPECT_EQ(r.leaked_refs, 0);
     EXPECT_EQ(r.cache_evictions, 5u);
     EXPECT_EQ(r.storage_payload_bytes, 243970648u);
     EXPECT_EQ(r.peer_seed_hits, 1973u);

@@ -314,6 +314,7 @@ TEST(PeerCloud, PeerTierCutsStorageTrafficWithoutChangingOutcomes) {
   EXPECT_EQ(on.completed, off.completed);
   EXPECT_EQ(on.aborted, off.aborted);
   EXPECT_EQ(on.leaked_slots, 0);
+  EXPECT_EQ(on.leaked_refs, 0);
   EXPECT_GT(on.peer_seed_hits, 0u);
   EXPECT_GT(on.peer_bytes_served, 0u);
   EXPECT_LT(on.storage_payload_bytes, off.storage_payload_bytes);
@@ -349,6 +350,7 @@ TEST(PeerCloud, EvictionPressureCannotYankSeedFilesMidUpload) {
   EXPECT_GT(r.cache_evictions, 0u);
   EXPECT_GT(r.peer_seed_hits, 0u);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
 }
 
@@ -360,6 +362,7 @@ TEST(PeerCloud, CrashesDeregisterSeedsAndFillsFallBackToNfs) {
   const cloud::CloudResult r = run_cloud(cfg);
   EXPECT_GT(r.node_crashes, 0);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
   // Deregistrations happened (eviction or crash); the run still served
   // peer traffic around them.

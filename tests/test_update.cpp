@@ -205,6 +205,7 @@ CloudConfig churn_config(std::uint64_t seed, update::Policy policy) {
 void expect_churn_accounting(const CloudResult& r) {
   EXPECT_EQ(r.completed + r.aborted + r.rejected, r.arrivals);
   EXPECT_EQ(r.leaked_slots, 0);
+  EXPECT_EQ(r.leaked_refs, 0);
   EXPECT_GT(r.updates_published, 0);
   const auto& m = r.metrics;
   EXPECT_EQ(m.counter_total("update.published"),

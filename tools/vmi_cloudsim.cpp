@@ -450,10 +450,12 @@ int main(int argc, char** argv) {
       ++violations;
     }
   }
-  if (r.leaked_slots != 0) {
+  if (r.leaked_slots != 0 || r.leaked_refs != 0) {
     if (slo_strict) {
-      std::fprintf(stderr, "SLO violation: %d leaked VM slot(s)\n",
-                   r.leaked_slots);
+      std::fprintf(stderr,
+                   "SLO violation: %d leaked VM slot(s), %d leaked cache "
+                   "reference(s)\n",
+                   r.leaked_slots, r.leaked_refs);
     }
     return 1;
   }
