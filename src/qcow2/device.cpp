@@ -194,6 +194,7 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   if (hdr.size() < kHeaderLength) co_return Errc::invalid_format;
   VMIC_CO_TRY_VOID(co_await file->pread(0, hdr));
   VMIC_CO_TRY(parsed, parse_header_area(hdr));
+  VMIC_CO_TRY_VOID(check_table_bounds(parsed.h, file->size()));
 
   auto dev = std::unique_ptr<Qcow2Device>(
       new Qcow2Device(std::move(file), std::move(parsed)));

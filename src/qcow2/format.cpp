@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "qcow2/layout.hpp"
 #include "util/align.hpp"
 #include "util/bytes.hpp"
 
@@ -189,6 +190,31 @@ Result<ParsedHeader> parse_header_area(std::span<const std::uint8_t> buf) {
   }
 
   return out;
+}
+
+Result<void> check_table_bounds(const Header& h, std::uint64_t file_size) {
+  const Layout ly{h.cluster_bits};
+  const std::uint64_t l1_bytes = std::uint64_t{h.l1_size} * 8;
+  const std::uint64_t rt_bytes =
+      std::uint64_t{h.refcount_table_clusters} * ly.cluster_size();
+  if (l1_bytes > kMaxL1Bytes || rt_bytes > kMaxRefcountTableBytes) {
+    return Errc::corrupt;
+  }
+  // Offsets are unchecked 64-bit values: compare without overflowing.
+  const auto inside = [file_size](std::uint64_t off, std::uint64_t len) {
+    return off <= file_size && len <= file_size - off;
+  };
+  if (!inside(h.l1_table_offset, l1_bytes) ||
+      !inside(h.refcount_table_offset, rt_bytes)) {
+    return Errc::corrupt;
+  }
+  // Entries needed to map h.size bytes, rounded up without the overflow
+  // div_ceil would hit near 2^64.
+  const std::uint64_t per_entry = ly.bytes_per_l2();
+  const std::uint64_t needed =
+      h.size / per_entry + (h.size % per_entry != 0 ? 1 : 0);
+  if (needed > h.l1_size) return Errc::corrupt;
+  return ok_result();
 }
 
 }  // namespace vmic::qcow2

@@ -141,4 +141,16 @@ std::uint64_t header_area_size(const std::optional<CacheExtension>& cache,
 /// smaller).
 Result<ParsedHeader> parse_header_area(std::span<const std::uint8_t> buf);
 
+/// Largest L1 table accepted (QEMU's QCOW_MAX_L1_SIZE).
+inline constexpr std::uint64_t kMaxL1Bytes = 32ull << 20;
+/// Largest refcount table accepted (QEMU's QCOW_MAX_REFTABLE_SIZE).
+inline constexpr std::uint64_t kMaxRefcountTableBytes = 8ull << 20;
+
+/// Check the table geometry a header claims against a file of
+/// `file_size` bytes before anything is allocated from it: the L1 and
+/// refcount tables are bounded and lie inside the file, and the L1 maps
+/// the whole virtual disk. A hostile header gets Errc::corrupt instead of
+/// an unbounded allocation.
+Result<void> check_table_bounds(const Header& h, std::uint64_t file_size);
+
 }  // namespace vmic::qcow2

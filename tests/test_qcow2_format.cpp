@@ -158,6 +158,37 @@ TEST(Qcow2Format, TruncatedExtensionAreaIsCorrupt) {
 // Layout math (§4.1)
 // --------------------------------------------------------------------------
 
+TEST(Qcow2Format, TableBoundsAcceptSaneGeometry) {
+  // sample_header's tables end at cluster 4; 20 L1 entries map 10 GiB.
+  EXPECT_TRUE(check_table_bounds(sample_header(), 4 * 65536).ok());
+}
+
+TEST(Qcow2Format, TableBoundsRejectHostileHeaders) {
+  const std::uint64_t file = 1_GiB;
+  Header h = sample_header();
+  h.l1_size = 0xFFFFFFF0;  // 32 GiB of L1: would abort on allocation
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+
+  h = sample_header();
+  h.refcount_table_clusters = 0xFFFFFFF0;
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+
+  h = sample_header();
+  h.size = 1ull << 63;  // the 20-entry L1 cannot map it
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+  h.size = ~0ull;  // rounding up must not wrap to a small entry count
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+
+  // Tables past the end of the file, including offsets that would wrap.
+  h = sample_header();
+  EXPECT_EQ(check_table_bounds(h, 3 * 65536 + 8).error(), Errc::corrupt);
+  h.l1_table_offset = ~0ull - 7;
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+  h = sample_header();
+  h.refcount_table_offset = 4_GiB;
+  EXPECT_EQ(check_table_bounds(h, file).error(), Errc::corrupt);
+}
+
 TEST(Qcow2Layout, SplitsAddressBits) {
   // With cluster_bits = d, an L2 table holds 2^(d-3) entries; the paper's
   // derivation m = d - 3 (8-byte entries in a one-cluster table).

@@ -72,6 +72,21 @@ RC=0; "$VMI_IMG" check leak.qcow2 >/dev/null || RC=$?
 "$VMI_IMG" check leak.qcow2 --repair | grep -q "1 leaks dropped"
 "$VMI_IMG" check leak.qcow2
 
+echo "--- hostile header fields: an error exit, never an abort"
+# Big-endian fields: size at byte 24, l1_size at 36, and
+# refcount_table_clusters at 56. Each probe used to allocate without
+# bound (SIGABRT) or be accepted.
+for probe in '36 \377\377\377\360' '56 \377\377\377\360' \
+             '24 \200\000\000\000\000\000\000\000'; do
+  set -- $probe
+  cp scratch.qcow2 hostile.qcow2
+  printf "$2" | dd of=hostile.qcow2 bs=1 seek="$1" conv=notrunc 2>/dev/null
+  for cmd in check info; do
+    RC=0; "$VMI_IMG" "$cmd" hostile.qcow2 >/dev/null 2>&1 || RC=$?
+    [ "$RC" -eq 1 ] || { echo "$cmd, byte $1: expected exit 1, got $RC"; exit 1; }
+  done
+done
+
 echo "--- dirty bit reported by check --json, cleared by --repair"
 cp scratch.qcow2 dirty.qcow2
 printf '\001' | dd of=dirty.qcow2 bs=1 seek=79 conv=notrunc 2>/dev/null
