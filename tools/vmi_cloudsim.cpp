@@ -57,11 +57,12 @@
 //     --drain-at H       drain start, simulated hours       (default 0.5)
 //     --drain-down S     drain downtime, seconds            (default 60)
 //     --slo-strict       exit non-zero on any SLO violation (aborted or
-//                        rejected arrivals, leaked slots, or --slo-p99
-//                        exceeded) so CI can gate on the exit code
+//                        rejected arrivals, leaked slots or cache
+//                        references, or --slo-p99 exceeded) so CI can
+//                        gate on the exit code
 //     --slo-p99 S        deploy p99 bound for --slo-strict  (default off)
 //     --trace FILE       replay a request trace CSV instead of generating
-//     --trace-out FILE   write the generated workload as CSV and exit 0
+//     --workload-out F   write the generated workload as CSV and exit 0
 //     --metrics-out F    write the metrics snapshot to F
 //                        (.json => JSON, anything else => text exposition)
 
@@ -97,7 +98,7 @@ namespace {
       "       [--updates on|off] [--update-policy invalidate|rebase|auto]\n"
       "       [--update-rate PER_HOUR] [--update-frac F]\n"
       "       [--slo-strict] [--slo-p99 S]\n"
-      "       [--trace FILE] [--trace-out FILE] [--metrics-out FILE]\n");
+      "       [--trace FILE] [--workload-out FILE] [--metrics-out FILE]\n");
   std::exit(2);
 }
 
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
   int outages = 0;
   std::string os = "scaled";
   std::string trace_in;
-  std::string trace_out;
+  std::string workload_out;
   std::string metrics_out;
   bool slo_strict = false;
   double slo_p99 = 0;
@@ -269,8 +270,8 @@ int main(int argc, char** argv) {
       slo_p99 = std::atof(next());
     } else if (a == "--trace") {
       trace_in = next();
-    } else if (a == "--trace-out") {
-      trace_out = next();
+    } else if (a == "--workload-out") {
+      workload_out = next();
     } else if (a == "--metrics-out") {
       metrics_out = next();
     } else {
@@ -330,15 +331,15 @@ int main(int argc, char** argv) {
     cfg.requests = std::move(*parsed);
   }
 
-  if (!trace_out.empty()) {
+  if (!workload_out.empty()) {
     Rng wl_rng(cfg.seed);
     const auto reqs = cfg.requests.empty()
                           ? generate_workload(cfg.workload, cfg.horizon_s,
                                               wl_rng)
                           : cfg.requests;
-    if (!write_file(trace_out, render_trace_csv(reqs))) return 1;
+    if (!write_file(workload_out, render_trace_csv(reqs))) return 1;
     std::printf("workload: %zu requests -> %s\n", reqs.size(),
-                trace_out.c_str());
+                workload_out.c_str());
     return 0;
   }
 
