@@ -669,8 +669,7 @@ class Engine {
         [this, ni, vk](std::uint64_t vaddr, std::span<std::uint8_t> dst)
             -> sim::Task<Result<bool>> {
           if (cfg_.dedup) {
-            auto served = co_await dedup_fetch(ni, vk, vaddr, dst);
-            if (served.ok() && *served) co_return true;
+            if (co_await dedup_fetch(ni, vk, vaddr, dst)) co_return true;
           }
           if (cfg_.peer_transfer) {
             co_return co_await peer_fetch(ni, vk, vaddr, dst);
@@ -764,8 +763,8 @@ class Engine {
   /// range. False (whole-range fallthrough to peer_fetch / the backing
   /// chain) only when nothing resolves, or when a serving tier fails
   /// mid-flight (stale index, seed crash, NFS error).
-  sim::Task<Result<bool>> dedup_fetch(int ni, VKey vk, std::uint64_t vaddr,
-                                      std::span<std::uint8_t> dst) {
+  sim::Task<bool> dedup_fetch(int ni, VKey vk, std::uint64_t vaddr,
+                              std::span<std::uint8_t> dst) {
     const std::uint64_t ccs = cache_cluster_bytes();
     auto& di = didx_[static_cast<std::size_t>(ni)];
 
@@ -922,8 +921,8 @@ class Engine {
   /// CoR in-flight range; the seed side is a fresh read-only standalone
   /// device (own lock hierarchy, never takes an alloc lock), so the two
   /// nodes' orders cannot interleave with lock_alloc()/RangeLock.
-  sim::Task<Result<bool>> peer_fetch(int ni, VKey vk, std::uint64_t vaddr,
-                                     std::span<std::uint8_t> dst) {
+  sim::Task<bool> peer_fetch(int ni, VKey vk, std::uint64_t vaddr,
+                             std::span<std::uint8_t> dst) {
     const std::string img = img_name(vk);
     const std::set<int>* holders = idx_->warm_holders(img);
     const int seed =
