@@ -19,12 +19,14 @@
 #include "cloud/engine.hpp"
 #include "cluster/scenario.hpp"
 #include "crash/explore.hpp"
+#include "io/mem_store.hpp"
 #include "qcow2/chain.hpp"
 #include "qcow2/device.hpp"
 #include "sim/env.hpp"
 #include "sim/run.hpp"
 #include "storage/disk.hpp"
 #include "storage/sim_directory.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -600,6 +602,330 @@ TEST(GoldenMetrics, CloudTiersPinnedValues) {
     EXPECT_EQ(m.counter_total("peer.deregistrations"), 7u);
     EXPECT_EQ(m.counter_total("cloud.cache_salvaged"), 2u);
   }
+}
+
+// --------------------------------------------------------------------------
+// Pinned qcow2 store I/O. A recording backend wraps one image file and
+// digests its ordered write-side stream: every pwrite as (offset, length,
+// bytes) and every flush, in issue order. The scenarios reach each store
+// path of the driver — overlay copy-on-write with partial clusters and an
+// L2-boundary span, write_zeroes and discard with and without a backing
+// file, the rewrite of a compressed cluster, plain copy-on-read fills at
+// 512 B and 4 KiB clusters up to the quota edge, and compressed fills
+// with incompressible clusters mixed in. The write count, the flush count
+// and the digest pin the exact on-disk sequence, barriers included.
+// --------------------------------------------------------------------------
+
+/// Ordered pwrite/flush stream of one file, folded into an FNV-1a digest.
+struct IoLog {
+  std::uint64_t pwrites = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+
+  void mix(std::span<const std::uint8_t> bytes) {
+    for (const std::uint8_t b : bytes) {
+      digest = (digest ^ b) * 1099511628211ull;
+    }
+  }
+  void record(std::uint8_t op, std::uint64_t off,
+              std::span<const std::uint8_t> bytes) {
+    std::uint8_t head[17];
+    head[0] = op;
+    store_be64(head + 1, off);
+    store_be64(head + 9, bytes.size());
+    mix(head);
+    mix(bytes);
+  }
+};
+
+class RecordingBackend final : public io::BlockBackend {
+ public:
+  RecordingBackend(io::BackendPtr inner, IoLog& log)
+      : inner_(std::move(inner)), log_(log) {
+    ro_ = inner_->read_only();
+  }
+
+  sim::Task<Result<void>> pread(std::uint64_t off,
+                                std::span<std::uint8_t> dst) override {
+    co_return co_await inner_->pread(off, dst);
+  }
+  sim::Task<Result<void>> pwrite(std::uint64_t off,
+                                 std::span<const std::uint8_t> src) override {
+    ++log_.pwrites;
+    log_.record('W', off, src);
+    co_return co_await inner_->pwrite(off, src);
+  }
+  sim::Task<Result<void>> flush() override {
+    ++log_.flushes;
+    log_.record('F', 0, {});
+    co_return co_await inner_->flush();
+  }
+  sim::Task<Result<void>> truncate(std::uint64_t s) override {
+    log_.record('T', s, {});
+    co_return co_await inner_->truncate(s);
+  }
+  [[nodiscard]] std::uint64_t size() const override { return inner_->size(); }
+  void set_read_only(bool ro) noexcept override {
+    ro_ = ro;
+    inner_->set_read_only(ro);
+  }
+  [[nodiscard]] std::string describe() const override {
+    return "recording:" + inner_->describe();
+  }
+
+ private:
+  io::BackendPtr inner_;
+  IoLog& log_;
+};
+
+/// In-memory image directory that records the I/O of one named file.
+class RecordingStore final : public io::ImageDirectory {
+ public:
+  io::MemImageStore mem;
+  std::string recorded;
+  IoLog log;
+
+  Result<io::BackendPtr> open_file(const std::string& name,
+                                   bool writable) override {
+    VMIC_TRY(be, mem.open_file(name, writable));
+    if (name != recorded) return be;
+    return io::BackendPtr{std::make_unique<RecordingBackend>(std::move(be),
+                                                             log)};
+  }
+  Result<io::BackendPtr> create_file(const std::string& name) override {
+    return mem.create_file(name);
+  }
+  [[nodiscard]] bool exists(const std::string& name) const override {
+    return mem.exists(name);
+  }
+};
+
+void put_base(RecordingStore& st, const std::vector<std::uint8_t>& data) {
+  auto be = st.mem.create_file("base.img");
+  ASSERT_TRUE(be.ok());
+  ASSERT_TRUE(sim::sync_wait((*be)->pwrite(0, data)).ok());
+}
+
+std::vector<std::uint8_t> noise_bytes(std::uint64_t seed, std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  Rng rng{seed};
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+  return v;
+}
+
+/// 4 KiB-cluster content for the compressed paths: every fifth cluster
+/// is noise (incompressible), the rest are byte runs (compressible).
+std::vector<std::uint8_t> mixed_clusters(std::size_t n) {
+  std::vector<std::uint8_t> v = noise_bytes(99, n);
+  for (std::size_t c = 0; c * 4_KiB < n; ++c) {
+    if (c % 5 == 3) continue;
+    const std::size_t lo = c * 4_KiB;
+    for (std::size_t i = lo; i < std::min(n, lo + 4_KiB); ++i) {
+      v[i] = static_cast<std::uint8_t>(c + (i - lo) / 512);
+    }
+  }
+  return v;
+}
+
+sim::Task<Result<void>> write_bytes(block::BlockDevice& dev, std::uint64_t off,
+                                    std::uint64_t len, std::uint64_t seed) {
+  const std::vector<std::uint8_t> data = noise_bytes(seed, len);
+  co_return co_await dev.write(off, data);
+}
+
+sim::Task<Result<void>> read_bytes(block::BlockDevice& dev, std::uint64_t off,
+                                   std::uint64_t len) {
+  std::vector<std::uint8_t> buf(len);
+  co_return co_await dev.read(off, buf);
+}
+
+qcow2::Qcow2Device& as_qcow2(block::BlockDevice* dev) {
+  return *dynamic_cast<qcow2::Qcow2Device*>(dev);
+}
+
+void expect_io(const IoLog& log, std::uint64_t pwrites, std::uint64_t flushes,
+               std::uint64_t digest) {
+  EXPECT_EQ(log.pwrites, pwrites);
+  EXPECT_EQ(log.flushes, flushes);
+  EXPECT_EQ(log.digest, digest);
+}
+
+TEST(GoldenMetrics, OverlayStoreIoPinned) {
+  RecordingStore st;
+  ASSERT_NO_FATAL_FAILURE(put_base(st, noise_bytes(1, 8_MiB)));
+  ASSERT_TRUE(sim::sync_wait(qcow2::create_cow_image(
+                                 st, "vm.cow", "base.img",
+                                 {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  st.recorded = "vm.cow";
+  auto dev = sim::sync_wait(qcow2::open_image(st, "vm.cow"));
+  ASSERT_TRUE(dev.ok());
+  block::BlockDevice& d = **dev;
+  auto& q = as_qcow2(dev->get());
+  // Partial clusters, a head+body+tail write, an L2-boundary span (4 KiB
+  // clusters: one L2 table maps 2 MiB), and an in-place overwrite.
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 100, 300, 11)).ok());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 5000, 10000, 12)).ok());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 2_MiB - 5000, 12000, 13)).ok());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 200, 50, 14)).ok());
+  // Zeroes over data, unallocated and L2-spanning ranges; a backed
+  // discard leaves zero flags.
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(3 * 4_KiB + 17, 16_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(2_MiB - 8_KiB, 16_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.discard(0, 8_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.discard(6_MiB, 64_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 6_MiB + 100, 5000, 15)).ok());
+  auto chk = sim::sync_wait(q.check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean());
+  ASSERT_TRUE(sim::sync_wait(d.close()).ok());
+  expect_io(st.log, 39, 16, 5248832899622545105ull);
+}
+
+TEST(GoldenMetrics, StandaloneUnmapIoPinned) {
+  RecordingStore st;
+  {
+    auto be = st.mem.create_file("img.qcow2");
+    ASSERT_TRUE(be.ok());
+    qcow2::Qcow2Device::CreateOptions opt;
+    opt.virtual_size = 4_MiB;
+    opt.cluster_bits = 12;
+    ASSERT_TRUE(
+        sim::sync_wait(qcow2::Qcow2Device::create(**be, opt)).ok());
+  }
+  st.recorded = "img.qcow2";
+  auto dev = sim::sync_wait(qcow2::open_image(st, "img.qcow2"));
+  ASSERT_TRUE(dev.ok());
+  block::BlockDevice& d = **dev;
+  auto& q = as_qcow2(dev->get());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 0, 64_KiB, 21)).ok());
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 1_MiB, 20000, 22)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(4_KiB, 16_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(100, 50)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(3_MiB, 8_KiB)).ok());
+  // Without a backing file whole clusters unmap; the partial edges drop.
+  ASSERT_TRUE(sim::sync_wait(q.discard(32_KiB + 10, 40_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.discard(4_KiB, 8_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.discard(1_MiB, 12_KiB)).ok());
+  auto chk = sim::sync_wait(q.check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean());
+  ASSERT_TRUE(sim::sync_wait(d.close()).ok());
+  expect_io(st.log, 23, 11, 14283213204993606259ull);
+}
+
+TEST(GoldenMetrics, CompressedRewriteIoPinned) {
+  RecordingStore st;
+  ASSERT_NO_FATAL_FAILURE(put_base(st, mixed_clusters(1_MiB)));
+  ASSERT_TRUE(sim::sync_wait(qcow2::create_cache_image(
+                                 st, "vmi.cache", "base.img", 4_MiB,
+                                 {.cluster_bits = 12, .virtual_size = 0}))
+                  .ok());
+  ASSERT_TRUE(
+      sim::sync_wait(qcow2::create_cow_image(st, "vm.cow", "vmi.cache")).ok());
+  {
+    auto dev = sim::sync_wait(qcow2::open_image(st, "vm.cow"));
+    ASSERT_TRUE(dev.ok());
+    as_qcow2((*dev)->backing()).set_cor_compress(true);
+    ASSERT_TRUE(sim::sync_wait(read_bytes(**dev, 0, 256_KiB)).ok());
+    ASSERT_TRUE(sim::sync_wait((*dev)->close()).ok());
+  }
+  // Turn the cache's extension into an unknown one: the file reopens as a
+  // plain writable image over the base, compressed clusters and all, so
+  // guest writes reach the decompress-modify-write path.
+  {
+    auto* buf = *st.mem.buffer("vmi.cache");
+    std::uint8_t magic[4];
+    store_be32(magic, 0x7e57e570u);
+    buf->write(qcow2::kHeaderLength, magic);
+  }
+  st.recorded = "vmi.cache";
+  auto dev = sim::sync_wait(qcow2::open_image(st, "vmi.cache"));
+  ASSERT_TRUE(dev.ok());
+  block::BlockDevice& d = **dev;
+  auto& q = as_qcow2(dev->get());
+  ASSERT_FALSE(q.is_cache_image());
+  auto before = sim::sync_wait(q.compression_stats());
+  ASSERT_TRUE(before.ok());
+  ASSERT_GT(before->compressed_clusters, 20u);
+  ASSERT_TRUE(sim::sync_wait(write_bytes(d, 3 * 4_KiB + 100, 200, 31)).ok());
+  ASSERT_TRUE(
+      sim::sync_wait(write_bytes(d, 10 * 4_KiB - 100, 8_KiB + 200, 32)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.write_zeroes(20 * 4_KiB + 1, 3 * 4_KiB)).ok());
+  ASSERT_TRUE(sim::sync_wait(q.discard(30 * 4_KiB, 2 * 4_KiB)).ok());
+  auto after = sim::sync_wait(q.compression_stats());
+  ASSERT_TRUE(after.ok());
+  EXPECT_LT(after->compressed_clusters, before->compressed_clusters);
+  auto chk = sim::sync_wait(q.check());
+  ASSERT_TRUE(chk.ok());
+  EXPECT_TRUE(chk->clean());
+  ASSERT_TRUE(sim::sync_wait(d.close()).ok());
+  expect_io(st.log, 32, 18, 12238061962347919887ull);
+}
+
+/// Cold copy-on-read fills through base <- cache <- overlay, recording the
+/// cache file. With `edge_quota` the cache is then read on, 48 KiB at a
+/// time, until population stops at the quota. The plain store falls back
+/// to single clusters there and fills the cache to its quota exactly.
+IoLog cor_fill_io(std::uint32_t cluster_bits, bool compress,
+                  std::uint64_t quota, bool edge_quota) {
+  RecordingStore st;
+  put_base(st, compress ? mixed_clusters(4_MiB) : noise_bytes(2, 4_MiB));
+  EXPECT_TRUE(sim::sync_wait(qcow2::create_cache_image(
+                                 st, "vmi.cache", "base.img", quota,
+                                 {.cluster_bits = cluster_bits,
+                                  .virtual_size = 0}))
+                  .ok());
+  EXPECT_TRUE(
+      sim::sync_wait(qcow2::create_cow_image(st, "vm.cow", "vmi.cache")).ok());
+  st.recorded = "vmi.cache";
+  obs::Hub hub;
+  auto dev = sim::sync_wait(qcow2::open_image(st, "vm.cow", true, false, &hub));
+  EXPECT_TRUE(dev.ok());
+  block::BlockDevice& d = **dev;
+  auto& cache = as_qcow2(d.backing());
+  cache.set_cor_compress(compress);
+  EXPECT_TRUE(sim::sync_wait(read_bytes(d, 0, 64_KiB)).ok());
+  EXPECT_TRUE(sim::sync_wait(read_bytes(d, 100000, 3000)).ok());
+  EXPECT_TRUE(sim::sync_wait(read_bytes(d, 1_MiB + 7, 200000)).ok());
+  EXPECT_TRUE(sim::sync_wait(read_bytes(d, 0, 4_KiB)).ok());
+  if (edge_quota) {
+    for (std::uint64_t off = 2_MiB; cache.cor_active() && off + 48_KiB <= 4_MiB;
+         off += 48_KiB) {
+      EXPECT_TRUE(sim::sync_wait(read_bytes(d, off, 48_KiB)).ok());
+    }
+    EXPECT_FALSE(cache.cor_active());
+    if (!compress) {
+      EXPECT_EQ(cache.file_bytes(), quota);
+    }
+  }
+  if (compress) {
+    const auto m = hub.registry.snapshot();
+    EXPECT_GT(m.counter_total("qcow2.compressed.clusters"), 0u);
+    EXPECT_GT(m.counter_total("qcow2.compressed.fallbacks"), 0u);
+  }
+  auto chk = sim::sync_wait(cache.check());
+  EXPECT_TRUE(chk.ok() && chk->clean());
+  EXPECT_TRUE(sim::sync_wait(d.close()).ok());
+  return st.log;
+}
+
+TEST(GoldenMetrics, CorFillIoPinned) {
+  expect_io(cor_fill_io(9, false, 2_MiB, false), 69, 26,
+            1058539844665603696ull);
+  expect_io(cor_fill_io(12, false, 4_MiB, false), 15, 8,
+            16592084460618766658ull);
+  expect_io(cor_fill_io(9, false, 1_MiB + 1536, true), 263, 91,
+            8227630522237849628ull);
+  expect_io(cor_fill_io(12, false, 1_MiB + 8_KiB, true), 78, 29,
+            8653597914849945673ull);
+}
+
+TEST(GoldenMetrics, CompressedCorFillIoPinned) {
+  expect_io(cor_fill_io(12, true, 4_MiB, false), 111, 8,
+            9216879715255118742ull);
+  expect_io(cor_fill_io(12, true, 512_KiB + 4_KiB, true), 675, 38,
+            15047904922395961970ull);
 }
 
 }  // namespace
