@@ -1,6 +1,7 @@
 #include "manifest/manifest.hpp"
 
 #include <cstring>
+#include <iterator>
 
 #include "util/bytes.hpp"
 
@@ -96,9 +97,8 @@ std::vector<std::uint8_t> encode(const NodeManifest& m) {
     put64(body, fnv1a({body.data() + start, body.size() - start}));
   }
 
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   out.reserve(kHeaderSize + body.size());
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
   put32(out, kVersion);
   put64(out, m.generation);
   put32(out, static_cast<std::uint32_t>(m.entries.size()));

@@ -418,10 +418,10 @@ TEST(Qcow2Chain, DeepButAcyclicChainOpens) {
     ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
   }
   for (int i = 1; i <= 5; ++i) {
-    auto be = store.create_file("l" + std::to_string(i));
+    auto be = store.create_file(std::string("l").append(std::to_string(i)));
     Qcow2Device::CreateOptions opt;
     opt.virtual_size = 1_MiB;
-    opt.backing_file = "l" + std::to_string(i - 1);
+    opt.backing_file = std::string("l").append(std::to_string(i - 1));
     ASSERT_TRUE(sync_wait(Qcow2Device::create(**be, opt)).ok());
   }
   auto dev = sync_wait(open_image(store, "l5"));
