@@ -292,11 +292,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
       backing->set_read_only_mode(true);
     }
     dev->backing_ = std::move(backing);
-    if (dev->backing_->size() < dev->h_.size &&
-        !dev->is_cache_image()) {
-      // A CoW overlay may be larger than its backing (reads past the end
-      // of the backing are zeros) — that is fine; nothing to check.
-    }
     // Resolvers rebuild their own OpenOptions, so push the fill-coalescing
     // mode down the chain by hand — it must be uniform: a cache image in
     // the middle of the chain does the actual CoR.
@@ -472,6 +467,10 @@ sim::Task<Result<bool>> Qcow2Device::is_allocated(std::uint64_t vaddr) {
   co_return ext.kind != MapKind::unallocated;
 }
 
+std::uint64_t Qcow2Device::l2_slot(std::uint64_t vaddr) const {
+  return (l1_[ly_.l1_index(vaddr)] & kOffsetMask) + ly_.l2_index(vaddr) * 8;
+}
+
 sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   const std::uint64_t cs = ly_.cluster_size();
   const std::uint64_t i1 = ly_.l1_index(vaddr);
@@ -479,14 +478,19 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   if ((l1_[i1] & kOffsetMask) != 0) co_return ok_result();
 
   // Allocate and zero a fresh L2 table, then hook it into the L1.
-  VMIC_CO_TRY(l2_off,
-              co_await alloc_clusters(
-                  1, RefHint{h_.l1_table_offset + i1 * 8, /*run=*/true}));
+  const RefHint hint{h_.l1_table_offset + i1 * 8, /*run=*/true};
+  VMIC_CO_TRY(l2_off, co_await alloc_clusters(1, hint));
   std::vector<std::uint8_t> zeros(cs, 0);
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off, zeros));
+  auto wr = co_await file_->pwrite(l2_off, zeros);
   // Barrier: the table must be durably zeroed before the L1 publishes it
   // (a crash must never expose a table of leftover garbage entries).
-  VMIC_CO_TRY_VOID(co_await file_->flush());
+  if (wr.ok()) wr = co_await file_->flush();
+  if (!wr.ok()) {
+    // Nothing references the table yet: release it so a clean I/O
+    // failure leaks nothing.
+    VMIC_CO_TRY_VOID(co_await free_clusters(l2_off, 1, hint));
+    co_return wr.error();
+  }
   l2_tables_.emplace(
       l2_off, std::make_unique<std::vector<std::uint64_t>>(ly_.l2_entries()));
   l1_[i1] = l2_off | kFlagCopied;
@@ -494,26 +498,6 @@ sim::Task<Result<void>> Qcow2Device::ensure_l2_table(std::uint64_t vaddr) {
   std::uint8_t be[8];
   store_be64(be, l1_[i1]);
   VMIC_CO_TRY_VOID(co_await file_->pwrite(h_.l1_table_offset + i1 * 8, be));
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::set_l2_entries(std::uint64_t vaddr,
-                                                    std::uint64_t host_off,
-                                                    std::uint64_t count) {
-  const std::uint64_t cs = ly_.cluster_size();
-  VMIC_CO_TRY_VOID(co_await ensure_l2_table(vaddr));
-  const std::uint64_t i1 = ly_.l1_index(vaddr);
-  const std::uint64_t l2_off = l1_[i1] & kOffsetMask;
-  VMIC_CO_TRY(l2, co_await load_l2(l2_off));
-  const std::uint64_t i2 = ly_.l2_index(vaddr);
-  assert(i2 + count <= ly_.l2_entries());
-
-  std::vector<std::uint8_t> be(count * 8);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    (*l2)[i2 + k] = (host_off + k * cs) | kFlagCopied;
-    store_be64(be.data() + k * 8, (*l2)[i2 + k]);
-  }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
   co_return ok_result();
 }
 
@@ -625,25 +609,29 @@ sim::Task<Result<std::uint64_t>> Qcow2Device::alloc_clusters(
   claim_run(idx, end);
 
   // Make sure every touched refcount block exists, then persist entries.
+  // Journal mode: the record IS the persistence — the blocks are only
+  // written back at checkpoints. Rides the caller's publish barrier.
   const std::uint64_t rpb = ly_.refcounts_per_block();
-  for (std::uint64_t bi = idx / rpb; bi <= (end - 1) / rpb; ++bi) {
-    auto r = co_await ensure_refcount_block(bi * rpb);
-    if (!r.ok()) {
-      // Roll back the marks so the mirror stays consistent. The rare
-      // failure path just rebuilds the free-run index from scratch.
-      for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
-      refcounts_.resize(std::max(old_size, idx));
-      index_free_runs();
-      co_return r.error();
-    }
+  Result<void> r = ok_result();
+  for (std::uint64_t bi = idx / rpb; r.ok() && bi <= (end - 1) / rpb; ++bi) {
+    r = co_await ensure_refcount_block(bi * rpb);
   }
-  if (journal_) {
-    // Journal mode: the record IS the persistence — the blocks are only
-    // written back at checkpoints. Rides the caller's publish barrier.
-    VMIC_CO_TRY_VOID(co_await journal_append(
-        kJournalOpAlloc | (hint.run ? kJournalRefRun : 0), idx, n, hint));
-  } else {
-    VMIC_CO_TRY_VOID(co_await write_refcount_entries(idx, n));
+  if (r.ok() && journal_) {
+    r = co_await journal_append(
+        kJournalOpAlloc | (hint.run ? kJournalRefRun : 0), idx, n, hint);
+  } else if (r.ok()) {
+    r = co_await write_refcount_entries(idx, n);
+  }
+  if (!r.ok()) {
+    // Roll back the marks so the mirror stays consistent; refcount blocks
+    // created on the way are live and keep theirs. The rare failure path
+    // just rebuilds the free-run index from scratch.
+    for (std::uint64_t i = idx; i < end; ++i) refcounts_[i] = 0;
+    while (refcounts_.size() > old_size && refcounts_.back() == 0) {
+      refcounts_.pop_back();
+    }
+    index_free_runs();
+    co_return r.error();
   }
   free_guess_ = end;
   co_return idx * ly_.cluster_size();
@@ -670,50 +658,59 @@ sim::Task<Result<void>> Qcow2Device::ensure_refcount_block(
   claim_run(b, b + 1);
   rt_[bi] = b * ly_.cluster_size();
 
-  // If the new block's own cluster is covered by a different (absent)
-  // block, create that one too; recursion terminates because each level
-  // covers rpb clusters.
-  if (b / rpb != bi) {
-    VMIC_CO_TRY_VOID(co_await ensure_refcount_block(b));
-    // b's own refcount lives in the covering block. When the recursion
-    // created that block just now it snapshotted the mirror (including
-    // b); but when the block already existed nothing persisted b's
-    // count — write it explicitly (idempotent in the first case).
-    if (journal_) {
+  auto persist = [&]() -> sim::Task<Result<void>> {
+    // If the new block's own cluster is covered by a different (absent)
+    // block, create that one too; recursion terminates because each level
+    // covers rpb clusters.
+    if (b / rpb != bi) {
+      VMIC_CO_TRY_VOID(co_await ensure_refcount_block(b));
+      // b's own refcount lives in the covering block. When the recursion
+      // created that block just now it snapshotted the mirror (including
+      // b); but when the block already existed nothing persisted b's
+      // count — write it explicitly (idempotent in the first case).
+      if (journal_) {
+        VMIC_CO_TRY_VOID(co_await journal_append(
+            kJournalOpAlloc | kJournalRefRun, b, 1,
+            RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true}));
+      } else {
+        VMIC_CO_TRY_VOID(co_await write_refcount_entries(b, 1));
+      }
+    } else if (journal_) {
+      // b is covered by the very block being created: the full-block
+      // write below persists it, but the record still retires correctly
+      // at the next checkpoint and lets replay verify the allocation.
       VMIC_CO_TRY_VOID(co_await journal_append(
           kJournalOpAlloc | kJournalRefRun, b, 1,
           RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true}));
-    } else {
-      VMIC_CO_TRY_VOID(co_await write_refcount_entries(b, 1));
     }
-  } else if (journal_) {
-    // b is covered by the very block being created: the full-block write
-    // below persists it, but the record still retires correctly at the
-    // next checkpoint and lets replay verify the allocation.
-    VMIC_CO_TRY_VOID(co_await journal_append(
-        kJournalOpAlloc | kJournalRefRun, b, 1,
-        RefHint{h_.refcount_table_offset + bi * 8, /*run=*/true}));
-  }
 
-  // Persist the whole new block from the mirror, then its table entry.
-  const std::uint64_t cs = ly_.cluster_size();
-  std::vector<std::uint8_t> buf(cs, 0);
-  const std::uint64_t first = bi * rpb;
-  for (std::uint64_t k = 0; k < rpb; ++k) {
-    const std::uint64_t i = first + k;
-    if (i < refcounts_.size() && refcounts_[i] != 0) {
-      store_be16(buf.data() + k * 2, refcounts_[i]);
+    // Persist the whole new block from the mirror, then its table entry.
+    const std::uint64_t cs = ly_.cluster_size();
+    std::vector<std::uint8_t> buf(cs, 0);
+    const std::uint64_t first = bi * rpb;
+    for (std::uint64_t k = 0; k < rpb; ++k) {
+      const std::uint64_t i = first + k;
+      if (i < refcounts_.size() && refcounts_[i] != 0) {
+        store_be16(buf.data() + k * 2, refcounts_[i]);
+      }
     }
+    VMIC_CO_TRY_VOID(co_await file_->pwrite(rt_[bi], buf));
+    // Barrier: the block's contents must be durable before the table
+    // entry publishes it.
+    VMIC_CO_TRY_VOID(co_await file_->flush());
+    std::uint8_t be[8];
+    store_be64(be, rt_[bi]);
+    co_return co_await file_->pwrite(h_.refcount_table_offset + bi * 8, be);
+  };
+  auto r = co_await persist();
+  if (!r.ok()) {
+    // The table never published the block: forget it and free its
+    // cluster, or the mirror would count into a block the file lacks.
+    rt_[bi] = 0;
+    refcounts_[b] = 0;
+    release_run(b, b + 1);
   }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(rt_[bi], buf));
-  // Barrier: the block's contents must be durable before the table entry
-  // publishes it.
-  VMIC_CO_TRY_VOID(co_await file_->flush());
-  std::uint8_t be[8];
-  store_be64(be, rt_[bi]);
-  VMIC_CO_TRY_VOID(
-      co_await file_->pwrite(h_.refcount_table_offset + bi * 8, be));
-  co_return ok_result();
+  co_return r;
 }
 
 sim::Task<Result<void>> Qcow2Device::write_refcount_entries(
@@ -919,38 +916,29 @@ void Qcow2Device::cor_stop(Errc cause) {
 /// possible), then fills serialise device-wide.
 sim::Task<Result<void>> Qcow2Device::cor_fill_read(
     std::uint64_t pos, std::span<std::uint8_t> dst) {
+  std::optional<sim::RangeGuard> guard;
   if (!cor_single_flight_) {
     VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
     if (!cor_enabled_) co_return ok_result();
-    auto guard = co_await cor_inflight_.acquire(0, ~std::uint64_t{0});
-    if (guard.waited()) {
+    guard.emplace(co_await cor_inflight_.acquire(0, ~std::uint64_t{0}));
+    if (guard->waited()) {
       ++stats_.cor_inflight_waits;
       bump(agg_.cor_inflight_waits);
-      if (!cor_enabled_) co_return ok_result();
     }
-    obs::Span fill;
-    if (obs::tracing(hub_)) {
-      fill = hub_->tracer.span(track_, "qcow2.cor_fill", "qcow2",
-                               "\"bytes\":" + std::to_string(dst.size()));
+  } else {
+    const std::uint64_t cs = ly_.cluster_size();
+    guard.emplace(co_await cor_inflight_.acquire(
+        align_down(pos, cs), align_up(pos + dst.size(), cs)));
+    if (guard->waited()) {
+      // Someone filled (or tried to fill) our clusters while we queued:
+      // serve from the cache where possible instead of re-fetching.
+      ++stats_.cor_inflight_waits;
+      bump(agg_.cor_inflight_waits);
+      co_return co_await cor_read_after_wait(pos, dst);
     }
-    auto r = co_await cor_store(pos, dst);
-    if (!r.ok()) cor_stop(r.error());
-    co_return ok_result();
+    VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
   }
-
-  const std::uint64_t cs = ly_.cluster_size();
-  const std::uint64_t lo = align_down(pos, cs);
-  const std::uint64_t hi = align_up(pos + dst.size(), cs);
-  auto guard = co_await cor_inflight_.acquire(lo, hi);
-  if (guard.waited()) {
-    // Someone filled (or tried to fill) our clusters while we queued:
-    // serve from the cache where possible instead of re-fetching.
-    ++stats_.cor_inflight_waits;
-    bump(agg_.cor_inflight_waits);
-    co_return co_await cor_read_after_wait(pos, dst);
-  }
-  VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
-  if (!cor_enabled_) co_return ok_result();  // stop raced with our fetch
+  if (!cor_enabled_) co_return ok_result();  // a stop raced with us
   obs::Span fill;
   if (obs::tracing(hub_)) {
     fill = hub_->tracer.span(track_, "qcow2.cor_fill", "qcow2",
@@ -1012,29 +1000,11 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
   // Fig 9 — at 64 KiB clusters a small read forces a large fill, causing
   // *more* storage-node traffic than plain QCOW2; at 512 B clusters the
   // fill is empty for sector-aligned guest I/O.
-  std::vector<std::uint8_t> buf(hi - lo, 0);
-  std::memcpy(buf.data() + (vaddr - lo), data.data(), data.size());
-  if (vaddr > lo) {
-    VMIC_CO_TRY_VOID(
-        co_await read_from_backing(lo, std::span(buf.data(), vaddr - lo)));
-  }
-  const std::uint64_t data_end = vaddr + data.size();
-  if (hi > data_end) {
-    const std::uint64_t fill_end = std::min(hi, h_.size);
-    if (fill_end > data_end) {
-      VMIC_CO_TRY_VOID(co_await read_from_backing(
-          data_end,
-          std::span(buf.data() + (data_end - lo), fill_end - data_end)));
-    }
-  }
+  VMIC_CO_TRY(buf,
+              co_await cluster_buffer(vaddr, data, /*from_backing=*/true));
 
-  // Allocate and store runs of clusters that are still absent. Metadata
-  // (L2/refcount mutation) happens under alloc_mutex_; the payload write
-  // does not, so disjoint fills overlap on the bulk transfer. The L2
-  // entries are published only after the data landed (publish-after-
-  // write) — no reader can map a cluster whose bytes are still in
-  // flight, and readers of *this* range are excluded by the range lock
-  // anyway.
+  // Store the runs of clusters that are still absent: in legacy mode
+  // another reader may have filled some of them since our fetch.
   std::uint64_t pos = lo;
   bool stored = false;
   while (pos < hi && pos < h_.size) {
@@ -1043,68 +1013,11 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
       pos += ext.len;
       continue;
     }
-    if (cor_compress_) {
-      // Compressed mode decides compressed-vs-plain per cluster but
-      // batches the whole run under one flush barrier, like the plain
-      // path below.
-      const std::uint64_t nclusters = div_ceil(ext.len, cs);
-      VMIC_CO_TRY_VOID(co_await cor_store_compressed_run(
-          pos, std::span<const std::uint8_t>(buf.data() + (pos - lo),
-                                             nclusters * cs)));
-      stored = true;
-      pos += nclusters * cs;
-      continue;
-    }
-    const std::uint64_t want = div_ceil(ext.len, cs);
-    assert(want > 0);
-    std::uint64_t got = want;
-    std::uint64_t host = 0;
-    RefHint slots{};
-    {
-      auto guard = co_await lock_alloc();
-      // The L2 table is created before the data clusters: a quota failure
-      // then never strands an unreferenced (leaked) data cluster.
-      VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-      slots.ref_off = (l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                      ly_.l2_index(pos) * 8;
-      // All-or-nothing allocation first; near the quota edge, degrade to
-      // one-cluster steps so the cache fills up to the quota exactly
-      // ("the first n blocks are stored until the quota is reached",
-      // §3.2).
-      auto r = co_await alloc_clusters(want, slots);
-      if (!r.ok() && r.error() == Errc::no_space && want > 1) {
-        got = 1;
-        r = co_await alloc_clusters(1, slots);
-      }
-      if (!r.ok()) co_return r.error();
-      host = *r;
-    }
-    const std::uint64_t nbytes = got * cs;
-    auto wr = co_await file_->pwrite(
-        host, std::span(buf.data() + (pos - lo), nbytes));
-    if (wr.ok()) {
-      // Barrier: the payload must be durable before the L2 entry that
-      // publishes it — a crash may lose the cluster (leak), never expose
-      // a mapped cluster of torn bytes.
-      wr = co_await file_->flush();
-    }
-    {
-      auto guard = co_await lock_alloc();
-      if (!wr.ok()) {
-        // The data never landed: release the clusters (nothing leaks)
-        // and surface the medium error.
-        VMIC_CO_TRY_VOID(co_await free_clusters(host, got, slots));
-        co_return wr.error();
-      }
-      VMIC_CO_TRY_VOID(co_await set_l2_entries(pos, host, got));
-    }
-    data_clusters_ += got;
-    stats_.cor_clusters += got;
-    stats_.cor_bytes += nbytes;
-    bump(agg_.cor_clusters, got);
-    bump(agg_.cor_bytes, nbytes);
+    const std::span<const std::uint8_t> run(buf.data() + (pos - lo),
+                                            div_ceil(ext.len, cs) * cs);
+    VMIC_CO_TRY(got, co_await store_run(pos, run, /*cor=*/true));
     stored = true;
-    pos += nbytes;
+    pos += got * cs;
   }
   if (stored) {
     ++stats_.cor_fills;
@@ -1117,6 +1030,222 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
     }
   }
   co_return ok_result();
+}
+
+sim::Task<Result<std::vector<std::uint8_t>>> Qcow2Device::cluster_buffer(
+    std::uint64_t vaddr, std::span<const std::uint8_t> data,
+    bool from_backing) {
+  const std::uint64_t cs = ly_.cluster_size();
+  const std::uint64_t lo = align_down(vaddr, cs);
+  const std::uint64_t hi = align_up(vaddr + data.size(), cs);
+  std::vector<std::uint8_t> buf(hi - lo, 0);
+  std::memcpy(buf.data() + (vaddr - lo), data.data(), data.size());
+  if (!from_backing) co_return buf;
+  if (vaddr > lo) {
+    VMIC_CO_TRY_VOID(
+        co_await read_from_backing(lo, std::span(buf.data(), vaddr - lo)));
+  }
+  const std::uint64_t data_end = vaddr + data.size();
+  const std::uint64_t fill_end = std::min(hi, h_.size);
+  if (fill_end > data_end) {
+    VMIC_CO_TRY_VOID(co_await read_from_backing(
+        data_end,
+        std::span(buf.data() + (data_end - lo), fill_end - data_end)));
+  }
+  co_return buf;
+}
+
+sim::Task<Result<std::uint64_t>> Qcow2Device::store_run(
+    std::uint64_t vaddr, std::span<const std::uint8_t> data, bool cor) {
+  const std::uint64_t cs = ly_.cluster_size();
+  const std::uint64_t n = data.size() / cs;
+  assert((vaddr & (cs - 1)) == 0 && n > 0 && data.size() == n * cs);
+  const bool compress = cor && cor_compress_;
+
+  // One placement: a plain run of whole clusters, or one compressed
+  // payload packed sector-aligned into the open packing cluster.
+  struct Piece {
+    std::uint64_t pos = 0;       // guest offset of the first cluster
+    std::uint64_t entry = 0;     // L2 entry of the first cluster
+    std::uint64_t clusters = 1;  // run length (compressed: 1)
+    std::uint64_t off = 0;       // file offset of the payload
+    RefHint slots{};
+    std::vector<std::uint8_t> packed;  // compressed payload; empty = plain
+  };
+  const auto payload = [&](const Piece& p) {
+    return p.packed.empty() ? data.subspan(p.pos - vaddr, p.clusters * cs)
+                            : std::span<const std::uint8_t>(p.packed);
+  };
+
+  // Place everything under one lock hold. Payloads are sector-granular,
+  // so only a shrink of at least one full sector saves anything; an
+  // incompressible cluster is placed plainly. A packed payload's incref
+  // lands before the payload and the publish: a crash in between leaves
+  // an over-count only, which repair() drops.
+  auto place = [&](std::uint64_t pos) -> sim::Task<Result<Piece>> {
+    // The L2 table is created before the data clusters: a quota failure
+    // then never strands an unreferenced (leaked) data cluster.
+    VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
+    Piece p;
+    p.pos = pos;
+    p.slots = RefHint{l2_slot(pos), /*run=*/false};
+    std::uint64_t want = n - (pos - vaddr) / cs;
+    if (compress) {
+      want = 1;
+      std::vector<std::uint8_t> comp(cs);
+      const std::size_t csize =
+          cs > 512
+              ? lzss_compress(data.subspan(pos - vaddr, cs), comp, cs - 512)
+              : 0;
+      if (csize > 0) {
+        const std::uint64_t sectors = div_ceil(csize, 512);
+        if (comp_cluster_off_ != 0 &&
+            comp_next_sector_ + sectors <= cs / 512) {
+          // One more payload in the open packing cluster: one more
+          // reference.
+          const std::uint64_t c = comp_cluster_off_ / cs;
+          VMIC_CO_TRY_VOID(co_await ensure_dirty());
+          if (refcounts_[c] == 0xffff) co_return Errc::corrupt;
+          ++refcounts_[c];
+          auto w = co_await write_refcount_entries(c, 1);
+          if (!w.ok()) {
+            --refcounts_[c];  // never persisted
+            co_return w.error();
+          }
+        } else {
+          // Fresh packing cluster; the old one's free tail is wasted.
+          VMIC_CO_TRY(host, co_await alloc_clusters(1, p.slots));
+          comp_cluster_off_ = host;
+          comp_next_sector_ = 0;
+          ++data_clusters_;
+        }
+        p.off = comp_cluster_off_ + comp_next_sector_ * 512;
+        p.entry =
+            ly_.encode_compressed(Layout::CompressedDesc{p.off, sectors});
+        p.packed.assign(comp.begin(), comp.begin() + csize);
+        p.packed.resize(sectors * 512, 0);
+        comp_next_sector_ += sectors;
+        if (comp_next_sector_ >= cs / 512) {
+          comp_cluster_off_ = 0;
+          comp_next_sector_ = 0;
+        }
+        co_return p;
+      }
+    }
+    // All-or-nothing allocation first; near the quota edge, degrade to
+    // one cluster so the cache fills up to the quota exactly ("the first
+    // n blocks are stored until the quota is reached", §3.2).
+    auto r = co_await alloc_clusters(want, p.slots);
+    if (!r.ok() && r.error() == Errc::no_space && want > 1) {
+      want = 1;
+      r = co_await alloc_clusters(1, p.slots);
+    }
+    if (!r.ok()) co_return r.error();
+    p.off = *r;
+    p.entry = *r | kFlagCopied;
+    p.clusters = want;
+    co_return p;
+  };
+  std::vector<Piece> pieces;
+  std::optional<Errc> err;
+  {
+    auto guard = co_await lock_alloc();
+    for (std::uint64_t pos = vaddr; pos < vaddr + n * cs;) {
+      auto r = co_await place(pos);
+      if (!r.ok()) {
+        err = r.error();
+        break;
+      }
+      pos += r->clusters * cs;
+      pieces.push_back(std::move(*r));
+      // A plain run places all-or-nothing, or one cluster at the quota
+      // edge; the caller stores the rest with further calls.
+      if (!compress) break;
+    }
+  }
+  // A failed plain placement holds nothing. A compressed run publishes
+  // what it placed before the failure, taking the publish lock even when
+  // that is nothing.
+  if (pieces.empty() && !compress) co_return *err;
+
+  // Payload writes, outside the lock (disjoint fills overlap on the bulk
+  // transfer), one per file-contiguous span of pieces. Then ONE flush
+  // barrier for the whole run: every payload is durable before any L2
+  // entry publishes it — a crash may lose clusters (leak), never expose a
+  // mapped cluster of torn bytes. Flushing per cluster would charge a
+  // disk positioning cost per 4 KiB and dominate fill latency.
+  Result<void> wr = ok_result();
+  std::vector<std::uint8_t> joined;
+  for (std::size_t i = 0; i < pieces.size() && wr.ok();) {
+    std::size_t j = i + 1;
+    while (j < pieces.size() &&
+           pieces[j].off == pieces[j - 1].off + payload(pieces[j - 1]).size()) {
+      ++j;
+    }
+    std::span<const std::uint8_t> out = payload(pieces[i]);
+    if (j > i + 1) {
+      joined.clear();
+      for (std::size_t k = i; k < j; ++k) {
+        const auto bytes = payload(pieces[k]);
+        joined.insert(joined.end(), bytes.begin(), bytes.end());
+      }
+      out = joined;
+    }
+    wr = co_await file_->pwrite(pieces[i].off, out);
+    i = j;
+  }
+  if (wr.ok() && !pieces.empty()) wr = co_await file_->flush();
+
+  // Publish every placement under one lock hold — virtually-contiguous
+  // entries in one L2 table go out in one metadata write; publishing
+  // only after the data landed means no reader maps a cluster whose bytes
+  // are still in flight. When the payloads never landed, drop every
+  // reference the run took instead (a clean failure must not leak;
+  // packing-cluster over-counts are a crash-only artefact).
+  std::vector<std::uint64_t> entries;
+  std::uint64_t packed = 0;
+  std::uint64_t saved = 0;
+  {
+    auto guard = co_await lock_alloc();
+    if (!wr.ok()) {
+      for (const Piece& p : pieces) {
+        if (p.packed.empty()) {
+          VMIC_CO_TRY_VOID(co_await free_clusters(p.off, p.clusters, p.slots));
+        } else {
+          VMIC_CO_TRY_VOID(co_await free_compressed_entry(p.entry, p.slots));
+        }
+      }
+      co_return wr.error();
+    }
+    for (const Piece& p : pieces) {
+      // A plain run maps consecutive host clusters.
+      for (std::uint64_t k = 0; k < p.clusters; ++k) {
+        entries.push_back(p.entry + k * cs);
+      }
+      if (!p.packed.empty()) {
+        ++packed;
+        saved += cs - p.packed.size();
+      }
+    }
+    if (!entries.empty()) {
+      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(vaddr, entries));
+    }
+    data_clusters_ += entries.size() - packed;
+  }
+  const std::uint64_t stored = entries.size();
+  if (cor) {
+    stats_.cor_clusters += stored;
+    stats_.cor_bytes += stored * cs;
+    bump(agg_.cor_clusters, stored);
+    bump(agg_.cor_bytes, stored * cs);
+  }
+  if (compress) {
+    bump(agg_.comp_clusters, packed);
+    bump(agg_.comp_bytes_saved, saved);
+    bump(agg_.comp_fallbacks, stored - packed);
+  }
+  if (err) co_return *err;
+  co_return stored;
 }
 
 // ===========================================================================
@@ -1157,193 +1286,6 @@ sim::Task<Result<void>> Qcow2Device::read_compressed(
   co_return ok_result();
 }
 
-sim::Task<Result<void>> Qcow2Device::incref_cluster(std::uint64_t cluster_idx) {
-  assert(alloc_mutex_.locked() && "incref requires alloc_mutex_");
-  assert(!journal_ && "compression is refused on journaled images");
-  if (!refcounts_loaded_) {
-    VMIC_CO_TRY_VOID(co_await load_refcounts());
-  }
-  VMIC_CO_TRY_VOID(co_await ensure_dirty());
-  if (cluster_idx >= refcounts_.size() || refcounts_[cluster_idx] == 0 ||
-      refcounts_[cluster_idx] == 0xffff) {
-    co_return Errc::corrupt;
-  }
-  ++refcounts_[cluster_idx];
-  VMIC_CO_TRY_VOID(co_await write_refcount_entries(cluster_idx, 1));
-  co_return ok_result();
-}
-
-sim::Task<Result<void>> Qcow2Device::cor_store_compressed_run(
-    std::uint64_t vaddr, std::span<const std::uint8_t> data) {
-  const std::uint64_t cs = ly_.cluster_size();
-  assert((vaddr & (cs - 1)) == 0 && data.size() % cs == 0 &&
-         !data.empty());
-  const std::uint64_t n = data.size() / cs;
-  const std::uint64_t spc = cs / 512;  // sectors per cluster
-
-  // Pass 1 — compress every cluster up front (pure CPU, no locks).
-  // Payloads are sector-granular, so only a shrink of at least one full
-  // sector saves anything; sectors == 0 marks an incompressible cluster
-  // that is stored as a plain data cluster instead.
-  struct Pend {
-    std::uint64_t vaddr = 0;
-    std::uint64_t off = 0;      // file offset of the payload
-    std::uint64_t sectors = 0;  // 0 => plain full cluster
-    RefHint slots{};
-    std::vector<std::uint8_t> payload;  // sector-padded; empty when plain
-  };
-  std::vector<Pend> pend(static_cast<std::size_t>(n));
-  for (std::uint64_t k = 0; k < n; ++k) {
-    Pend& p = pend[static_cast<std::size_t>(k)];
-    p.vaddr = vaddr + k * cs;
-    if (cs > 512) {
-      std::vector<std::uint8_t> comp(cs);
-      const std::size_t csize =
-          lzss_compress(data.subspan(k * cs, cs), comp, cs - 512);
-      if (csize > 0) {
-        p.sectors = div_ceil(static_cast<std::uint64_t>(csize),
-                             std::uint64_t{512});
-        p.payload.assign(p.sectors * 512, 0);
-        std::memcpy(p.payload.data(), comp.data(), csize);
-      }
-    }
-  }
-
-  // Pass 2 — allocate space for every payload under one lock hold.
-  // Compressed payloads pack into the open packing cluster (ordering:
-  // the incref lands before the payload/publish — a crash in between
-  // leaves an over-count only, which repair() drops); incompressible
-  // clusters allocate plainly. A quota failure mid-run stops the run:
-  // what was placed before it is still written and published, so the
-  // cache fills up to the quota edge exactly like the plain path.
-  std::optional<Errc> alloc_err;
-  std::size_t got = 0;
-  {
-    auto guard = co_await lock_alloc();
-    for (auto& p : pend) {
-      auto place = [&]() -> sim::Task<Result<void>> {
-        VMIC_CO_TRY_VOID(co_await ensure_l2_table(p.vaddr));
-        p.slots.ref_off = (l1_[ly_.l1_index(p.vaddr)] & kOffsetMask) +
-                          ly_.l2_index(p.vaddr) * 8;
-        if (p.sectors == 0) {
-          VMIC_CO_TRY(h, co_await alloc_clusters(1, p.slots));
-          p.off = h;
-          co_return ok_result();
-        }
-        if (comp_cluster_off_ != 0 && comp_next_sector_ + p.sectors <= spc) {
-          VMIC_CO_TRY_VOID(co_await incref_cluster(comp_cluster_off_ / cs));
-        } else {
-          // Fresh packing cluster; the old one's free tail is wasted.
-          VMIC_CO_TRY(host, co_await alloc_clusters(1, p.slots));
-          comp_cluster_off_ = host;
-          comp_next_sector_ = 0;
-          ++data_clusters_;
-        }
-        p.off = comp_cluster_off_ + comp_next_sector_ * 512;
-        comp_next_sector_ += p.sectors;
-        if (comp_next_sector_ >= spc) {
-          comp_cluster_off_ = 0;
-          comp_next_sector_ = 0;
-        }
-        co_return ok_result();
-      };
-      auto r = co_await place();
-      if (!r.ok()) {
-        alloc_err = r.error();
-        break;
-      }
-      ++got;
-    }
-  }
-
-  // Pass 3 — payload writes (outside the lock: disjoint fills overlap on
-  // the bulk transfer), coalescing file-contiguous payloads into single
-  // writes, then ONE flush barrier for the whole run: every payload is
-  // durable before any L2 entry publishes it. Flushing per cluster would
-  // charge a disk positioning cost per 4 KiB and dominate fill latency.
-  Result<void> wr = ok_result();
-  {
-    std::vector<std::uint8_t> chunk;
-    std::uint64_t chunk_off = 0;
-    auto flush_chunk = [&]() -> sim::Task<Result<void>> {
-      if (chunk.empty()) co_return ok_result();
-      auto r = co_await file_->pwrite(chunk_off, chunk);
-      chunk.clear();
-      co_return r;
-    };
-    for (std::size_t i = 0; i < got && wr.ok(); ++i) {
-      const Pend& p = pend[i];
-      const std::span<const std::uint8_t> bytes =
-          p.sectors == 0 ? data.subspan(p.vaddr - vaddr, cs)
-                         : std::span<const std::uint8_t>(p.payload);
-      if (chunk.empty() || chunk_off + chunk.size() != p.off) {
-        wr = co_await flush_chunk();
-        if (!wr.ok()) break;
-        chunk_off = p.off;
-      }
-      chunk.insert(chunk.end(), bytes.begin(), bytes.end());
-    }
-    if (wr.ok()) wr = co_await flush_chunk();
-    if (wr.ok() && got > 0) wr = co_await file_->flush();
-  }
-
-  // Pass 4 — publish every placed cluster (or roll all of them back on a
-  // write failure) under one lock hold. Virtually-contiguous entries in
-  // the same L2 table publish in one metadata write.
-  std::uint64_t comp_count = 0;
-  std::uint64_t comp_saved = 0;
-  std::uint64_t plain_count = 0;
-  {
-    auto guard = co_await lock_alloc();
-    if (!wr.ok()) {
-      // Nothing was published: drop every reference this run took (a
-      // clean failure must not leak; packing-cluster over-counts are a
-      // crash-only artefact).
-      for (std::size_t i = 0; i < got; ++i) {
-        const Pend& p = pend[i];
-        const std::uint64_t host = align_down(p.off, cs);
-        VMIC_CO_TRY_VOID(co_await free_clusters(host, 1, p.slots));
-        if (p.sectors != 0 && refcounts_[host / cs] == 0) {
-          --data_clusters_;
-          if (comp_cluster_off_ == host) {
-            comp_cluster_off_ = 0;
-            comp_next_sector_ = 0;
-          }
-        }
-      }
-      co_return wr.error();
-    }
-    std::vector<std::uint64_t> entries;
-    entries.reserve(got);
-    for (std::size_t i = 0; i < got; ++i) {
-      const Pend& p = pend[i];
-      if (p.sectors == 0) {
-        entries.push_back((p.off & kOffsetMask) | kFlagCopied);
-        ++data_clusters_;
-        ++plain_count;
-      } else {
-        entries.push_back(ly_.encode_compressed(
-            Layout::CompressedDesc{p.off, p.sectors}));
-        ++comp_count;
-        comp_saved += cs - p.sectors * 512;
-      }
-    }
-    if (got > 0) {
-      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(vaddr, entries));
-    }
-  }
-
-  stats_.cor_clusters += got;
-  stats_.cor_bytes += got * cs;
-  bump(agg_.cor_clusters, got);
-  bump(agg_.cor_bytes, got * cs);
-  bump(agg_.comp_clusters, comp_count);
-  bump(agg_.comp_bytes_saved, comp_saved);
-  bump(agg_.comp_fallbacks, plain_count);
-  if (alloc_err) co_return *alloc_err;
-  co_return ok_result();
-}
-
 sim::Task<Result<void>> Qcow2Device::rewrite_compressed(
     std::uint64_t pos, const Extent& ext, std::span<const std::uint8_t> sub) {
   const std::uint64_t cs = ly_.cluster_size();
@@ -1351,41 +1293,15 @@ sim::Task<Result<void>> Qcow2Device::rewrite_compressed(
 
   // Decompress-modify: splice the write over the old cluster content.
   std::vector<std::uint8_t> cluster(cs, 0);
-  {
-    const Layout::CompressedDesc d = ly_.decode_compressed(ext.entry);
-    if (!ly_.compressed_desc_sane(d)) co_return Errc::corrupt;
-    std::vector<std::uint8_t> payload(d.sectors * 512, 0);
-    VMIC_CO_TRY_VOID(co_await file_->pread(d.offset, payload));
-    if (!lzss_decompress(payload, cluster)) co_return Errc::corrupt;
-  }
+  VMIC_CO_TRY_VOID(co_await read_compressed(lo, ext, cluster));
   std::memcpy(cluster.data() + (pos - lo), sub.data(), sub.size());
-
-  std::uint64_t host = 0;
-  RefHint slots{};
-  {
-    auto guard = co_await lock_alloc();
-    VMIC_CO_TRY_VOID(co_await ensure_l2_table(lo));
-    slots.ref_off = (l1_[ly_.l1_index(lo)] & kOffsetMask) +
-                    ly_.l2_index(lo) * 8;
-    VMIC_CO_TRY(h, co_await alloc_clusters(1, slots));
-    host = h;
-  }
-  auto wr = co_await file_->pwrite(host, cluster);
-  if (wr.ok()) wr = co_await file_->flush();
-  {
-    auto guard = co_await lock_alloc();
-    if (!wr.ok()) {
-      VMIC_CO_TRY_VOID(co_await free_clusters(host, 1, slots));
-      co_return wr.error();
-    }
-    VMIC_CO_TRY_VOID(co_await set_l2_entries(lo, host, 1));
-    // Barrier: the new mapping must be durable before the old payload's
-    // reference drops (free could hand the shared cluster out again).
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-    VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
-  }
-  ++data_clusters_;
-  co_return ok_result();
+  VMIC_CO_TRY_VOID(co_await store_run(lo, cluster, /*cor=*/false));
+  auto guard = co_await lock_alloc();
+  // Barrier: the new mapping must be durable before the old payload's
+  // reference drops (free could hand the shared cluster out again).
+  VMIC_CO_TRY_VOID(co_await file_->flush());
+  co_return co_await free_compressed_entry(
+      ext.entry, RefHint{l2_slot(lo), /*run=*/false});
 }
 
 sim::Task<Result<void>> Qcow2Device::free_compressed_entry(
@@ -1472,56 +1388,21 @@ sim::Task<Result<void>> Qcow2Device::cow_write(
   // Precondition: [vaddr, vaddr+len) holds no data clusters here.
   const std::uint64_t cs = ly_.cluster_size();
   const std::uint64_t lo = align_down(vaddr, cs);
-  const std::uint64_t hi = align_up(vaddr + src.size(), cs);
 
   // Copy-on-write fill: the parts of the boundary clusters not covered by
   // the write come from the backing chain (which may itself populate a
   // cache image below us — data from the base is allowed into the cache).
   // Zero-flagged clusters fill with zeros instead.
-  std::vector<std::uint8_t> buf(hi - lo, 0);
-  std::memcpy(buf.data() + (vaddr - lo), src.data(), src.size());
-  if (vaddr > lo && fill_from_backing) {
-    VMIC_CO_TRY_VOID(
-        co_await read_from_backing(lo, std::span(buf.data(), vaddr - lo)));
-  }
-  const std::uint64_t data_end = vaddr + src.size();
-  if (hi > data_end && fill_from_backing) {
-    const std::uint64_t fill_end = std::min(hi, h_.size);
-    if (fill_end > data_end) {
-      VMIC_CO_TRY_VOID(co_await read_from_backing(
-          data_end,
-          std::span(buf.data() + (data_end - lo), fill_end - data_end)));
-    }
-  }
-
-  std::uint64_t pos = lo;
-  while (pos < hi) {
-    // Allocation runs must not cross an L2 boundary.
-    const std::uint64_t l2_span = ly_.bytes_per_l2();
+  VMIC_CO_TRY(buf, co_await cluster_buffer(vaddr, src, fill_from_backing));
+  const std::uint64_t hi = lo + buf.size();
+  const std::uint64_t l2_span = ly_.bytes_per_l2();
+  for (std::uint64_t pos = lo; pos < hi;) {
+    // Store runs must not cross an L2 boundary.
     const std::uint64_t chunk =
         std::min(hi - pos, l2_span - (pos & (l2_span - 1)));
-    const std::uint64_t n = chunk / cs;
-    std::uint64_t host = 0;
-    {
-      auto guard = co_await lock_alloc();
-      VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      auto r = co_await alloc_clusters(n, slots);
-      if (!r.ok()) co_return r.error();
-      host = *r;
-    }
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(
-        host, std::span(buf.data() + (pos - lo), chunk)));
-    // Barrier: payload before publish (same argument as cor_store).
-    VMIC_CO_TRY_VOID(co_await file_->flush());
-    {
-      auto guard = co_await lock_alloc();
-      VMIC_CO_TRY_VOID(co_await set_l2_entries(pos, host, n));
-    }
-    data_clusters_ += n;
-    pos += chunk;
+    const std::span<const std::uint8_t> run(buf.data() + (pos - lo), chunk);
+    VMIC_CO_TRY(got, co_await store_run(pos, run, /*cor=*/false));
+    pos += got * cs;
   }
   co_return ok_result();
 }
@@ -1565,25 +1446,6 @@ sim::Task<Result<void>> Qcow2Device::free_clusters(std::uint64_t host_off,
   co_return ok_result();
 }
 
-sim::Task<Result<void>> Qcow2Device::set_l2_raw(std::uint64_t vaddr,
-                                                std::uint64_t entry,
-                                                std::uint64_t count) {
-  VMIC_CO_TRY_VOID(co_await ensure_dirty());
-  VMIC_CO_TRY_VOID(co_await ensure_l2_table(vaddr));
-  const std::uint64_t i1 = ly_.l1_index(vaddr);
-  const std::uint64_t l2_off = l1_[i1] & kOffsetMask;
-  VMIC_CO_TRY(l2, co_await load_l2(l2_off));
-  const std::uint64_t i2 = ly_.l2_index(vaddr);
-  assert(i2 + count <= ly_.l2_entries());
-  std::vector<std::uint8_t> be(count * 8);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    (*l2)[i2 + k] = entry;
-    store_be64(be.data() + k * 8, entry);
-  }
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
-  co_return ok_result();
-}
-
 sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
     std::uint64_t vaddr, std::span<const std::uint64_t> entries) {
   VMIC_CO_TRY_VOID(co_await ensure_dirty());
@@ -1592,8 +1454,7 @@ sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
   while (done < entries.size()) {
     const std::uint64_t pos = vaddr + done * cs;
     VMIC_CO_TRY_VOID(co_await ensure_l2_table(pos));
-    const std::uint64_t l2_off = l1_[ly_.l1_index(pos)] & kOffsetMask;
-    VMIC_CO_TRY(l2, co_await load_l2(l2_off));
+    VMIC_CO_TRY(l2, co_await load_l2(l1_[ly_.l1_index(pos)] & kOffsetMask));
     const std::uint64_t i2 = ly_.l2_index(pos);
     const std::uint64_t count = std::min<std::uint64_t>(
         entries.size() - done, ly_.l2_entries() - i2);
@@ -1602,7 +1463,7 @@ sim::Task<Result<void>> Qcow2Device::set_l2_raw_run(
       (*l2)[i2 + k] = entries[done + k];
       store_be64(be.data() + k * 8, entries[done + k]);
     }
-    VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_off + i2 * 8, be));
+    VMIC_CO_TRY_VOID(co_await file_->pwrite(l2_slot(pos), be));
     done += count;
   }
   co_return ok_result();
@@ -1629,42 +1490,9 @@ sim::Task<Result<void>> Qcow2Device::write_zeroes(std::uint64_t off,
     VMIC_CO_TRY_VOID(co_await write(off, zeros));
   }
   // Whole clusters: flip to the zero flag, releasing any data clusters.
-  // Metadata mutation throughout — hold the allocator mutex for the loop
-  // (the head/tail write() fragments above/below must stay outside it:
-  // cow_write acquires it itself).
-  {
-    auto guard = co_await lock_alloc();
-    std::uint64_t pos = lo;
-    while (pos < hi) {
-      VMIC_CO_TRY(ext, co_await map_range(pos, hi - pos));
-      const std::uint64_t clusters = div_ceil(ext.len, cs);
-      if (ext.kind != MapKind::zero) {
-        // Extents from map_range never cross an L2 boundary.
-        VMIC_CO_TRY_VOID(co_await set_l2_raw(pos, kFlagZero, clusters));
-      }
-      if (ext.kind == MapKind::data) {
-        // Barrier: the L2 dereference must be durable before the
-        // refcounts drop — the reverse order could persist the decrement
-        // alone and hand a still-referenced cluster to the allocator.
-        VMIC_CO_TRY_VOID(co_await file_->flush());
-        const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                                ly_.l2_index(pos) * 8,
-                            /*run=*/false};
-        VMIC_CO_TRY_VOID(
-            co_await free_clusters(ext.host_off, clusters, slots));
-        data_clusters_ -= clusters;
-      } else if (ext.kind == MapKind::compressed) {
-        // Same dereference-before-free barrier; the payload's host
-        // cluster only frees when its last sharer leaves.
-        VMIC_CO_TRY_VOID(co_await file_->flush());
-        const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                                ly_.l2_index(pos) * 8,
-                            /*run=*/false};
-        VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
-      }
-      pos += clusters * cs;
-    }
-  }
+  // The head/tail write() fragments stay outside the allocator mutex that
+  // the unmap holds: cow_write acquires it itself.
+  VMIC_CO_TRY_VOID(co_await unmap_clusters(lo, hi, kFlagZero, MapKind::zero));
   // Tail fragment.
   if (off + len > hi) {
     std::vector<std::uint8_t> zeros(off + len - hi, 0);
@@ -1689,28 +1517,38 @@ sim::Task<Result<void>> Qcow2Device::discard(std::uint64_t off,
     // backing data; leave zero clusters instead (QEMU does the same).
     co_return co_await write_zeroes(lo, hi - lo);
   }
+  co_return co_await unmap_clusters(lo, hi, 0, MapKind::unallocated);
+}
+
+sim::Task<Result<void>> Qcow2Device::unmap_clusters(std::uint64_t lo,
+                                                    std::uint64_t hi,
+                                                    std::uint64_t entry,
+                                                    MapKind keep) {
+  const std::uint64_t cs = ly_.cluster_size();
   auto guard = co_await lock_alloc();
   std::uint64_t pos = lo;
   while (pos < hi) {
     VMIC_CO_TRY(ext, co_await map_range(pos, hi - pos));
     const std::uint64_t clusters = div_ceil(ext.len, cs);
-    if (ext.kind != MapKind::unallocated) {
-      VMIC_CO_TRY_VOID(co_await set_l2_raw(pos, 0, clusters));
+    if (ext.kind != keep) {
+      // Extents from map_range never cross an L2 boundary.
+      const std::vector<std::uint64_t> entries(clusters, entry);
+      VMIC_CO_TRY_VOID(co_await set_l2_raw_run(pos, entries));
     }
-    if (ext.kind == MapKind::data) {
-      // Barrier: dereference before free (same argument as write_zeroes).
+    if (ext.kind == MapKind::data || ext.kind == MapKind::compressed) {
+      // Barrier: the L2 dereference must be durable before the refcounts
+      // drop — the reverse order could persist the decrement alone and
+      // hand a still-referenced cluster to the allocator.
       VMIC_CO_TRY_VOID(co_await file_->flush());
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      VMIC_CO_TRY_VOID(co_await free_clusters(ext.host_off, clusters, slots));
-      data_clusters_ -= clusters;
-    } else if (ext.kind == MapKind::compressed) {
-      VMIC_CO_TRY_VOID(co_await file_->flush());
-      const RefHint slots{(l1_[ly_.l1_index(pos)] & kOffsetMask) +
-                              ly_.l2_index(pos) * 8,
-                          /*run=*/false};
-      VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
+      const RefHint slots{l2_slot(pos), /*run=*/false};
+      if (ext.kind == MapKind::data) {
+        VMIC_CO_TRY_VOID(
+            co_await free_clusters(ext.host_off, clusters, slots));
+        data_clusters_ -= clusters;
+      } else {
+        // A payload's host cluster frees when its last sharer leaves.
+        VMIC_CO_TRY_VOID(co_await free_compressed_entry(ext.entry, slots));
+      }
     }
     pos += clusters * cs;
   }
@@ -1837,14 +1675,7 @@ sim::Task<Result<void>> Qcow2Device::ensure_dirty() {
   // session appends — all issued after this flush — sees a durable
   // generation; a cut before the flush leaves only stale-generation
   // records, which replay as no-ops against the cleanly persisted state.
-  if (journal_) {
-    ++journal_gen_;
-    journal_seq_ = 0;
-    journal_head_ = 1;
-    journal_dirty_blocks_.clear();
-    journal_header_bad_ = false;
-    VMIC_CO_TRY_VOID(co_await journal_write_header());
-  }
+  if (journal_) VMIC_CO_TRY_VOID(co_await journal_retire(journal_gen_ + 1));
   // Barrier: the dirty mark must be durable before any metadata mutation
   // it covers — otherwise a crash could leave stale refcounts behind a
   // header that claims the image is clean.
@@ -1884,13 +1715,17 @@ sim::Task<Result<void>> Qcow2Device::write_clean_bit() {
 // refcount journal
 // ===========================================================================
 
-sim::Task<Result<void>> Qcow2Device::journal_write_header() {
+sim::Task<Result<void>> Qcow2Device::journal_retire(std::uint64_t gen) {
   assert(journal_);
+  journal_gen_ = gen;
+  journal_seq_ = 0;
+  journal_head_ = 1;
+  journal_dirty_blocks_.clear();
+  journal_header_bad_ = false;
   std::uint8_t sec[kJournalSectorSize];
   encode_journal_header(JournalHeader{journal_gen_, journal_sector_count_},
                         sec);
-  VMIC_CO_TRY_VOID(co_await file_->pwrite(journal_->offset, sec));
-  co_return ok_result();
+  co_return co_await file_->pwrite(journal_->offset, sec);
 }
 
 sim::Task<Result<void>> Qcow2Device::journal_append(std::uint32_t flags,
@@ -1944,11 +1779,7 @@ sim::Task<Result<void>> Qcow2Device::journal_checkpoint() {
     VMIC_CO_TRY_VOID(co_await write_refcount_entries(first, count));
   }
   VMIC_CO_TRY_VOID(co_await file_->flush());
-  ++journal_gen_;
-  journal_seq_ = 0;
-  journal_head_ = 1;
-  journal_dirty_blocks_.clear();
-  VMIC_CO_TRY_VOID(co_await journal_write_header());
+  VMIC_CO_TRY_VOID(co_await journal_retire(journal_gen_ + 1));
   bump(agg_.journal_checkpoints);
   co_return ok_result();
 }
@@ -2081,11 +1912,7 @@ sim::Task<Result<bool>> Qcow2Device::journal_repair_fast(RepairReport& rep) {
   // bump but dropped a patch would silence the journal over a stale
   // block. The header write itself rides write_clean_bit()'s flush.
   VMIC_CO_TRY_VOID(co_await file_->flush());
-  journal_gen_ = scan.generation + 1;
-  journal_seq_ = 0;
-  journal_head_ = 1;
-  journal_dirty_blocks_.clear();
-  VMIC_CO_TRY_VOID(co_await journal_write_header());
+  VMIC_CO_TRY_VOID(co_await journal_retire(scan.generation + 1));
   VMIC_CO_TRY_VOID(co_await write_clean_bit());
   dirty_inherited_ = false;
 
@@ -2331,12 +2158,7 @@ sim::Task<Result<RepairReport>> Qcow2Device::repair() {
     // journal over a half-persisted rebuild. The header write itself
     // rides write_clean_bit()'s leading flush.
     VMIC_CO_TRY_VOID(co_await file_->flush());
-    ++journal_gen_;
-    journal_seq_ = 0;
-    journal_head_ = 1;
-    journal_dirty_blocks_.clear();
-    journal_header_bad_ = false;
-    VMIC_CO_TRY_VOID(co_await journal_write_header());
+    VMIC_CO_TRY_VOID(co_await journal_retire(journal_gen_ + 1));
   }
   VMIC_CO_TRY_VOID(co_await write_clean_bit());
   dirty_inherited_ = false;
