@@ -370,6 +370,96 @@ TEST(GoldenMetrics, JournalExplorePinnedValues) {
   EXPECT_EQ(r.digest, 670551284262492835ull);
 }
 
+// One pin per remaining sweep mode. Lazy refcounts skip the refcount
+// write on a free, so this seed leaks less and records one event fewer
+// than the eager sweep of the same workload.
+
+TEST(GoldenMetrics, LazyExplorePinnedValues) {
+  crash::ExploreConfig cfg;
+  cfg.seed = 2;
+  cfg.guest_ops = 24;
+  cfg.max_crash_points = 16;
+  cfg.lazy_refcounts = true;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, 72u);
+  EXPECT_EQ(r.crash_points, 16u);
+  EXPECT_EQ(r.dirty_images, 15u);
+  EXPECT_EQ(r.pre_repair_leaks, 15u);
+  EXPECT_EQ(r.leaks_dropped, 15u);
+  EXPECT_EQ(r.repair_crash_points, 0u);
+  EXPECT_EQ(r.digest, 15956766808477058957ull);
+}
+
+TEST(GoldenMetrics, CorChainExplorePinnedValues) {
+  crash::ExploreConfig cfg;
+  cfg.seed = 3;
+  cfg.guest_ops = 20;
+  cfg.max_crash_points = 12;
+  cfg.cor_chain = true;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, 84u);
+  EXPECT_EQ(r.crash_points, 12u);
+  EXPECT_EQ(r.dirty_images, 11u);
+  EXPECT_EQ(r.pre_repair_leaks, 3u);
+  EXPECT_EQ(r.leaks_dropped, 3u);
+  EXPECT_EQ(r.repair_crash_points, 0u);
+  EXPECT_EQ(r.digest, 15085406569767452073ull);
+}
+
+TEST(GoldenMetrics, RepairOfRepairExplorePinnedValues) {
+  crash::ExploreConfig cfg;
+  cfg.seed = 3;
+  cfg.guest_ops = 12;
+  cfg.max_crash_points = 8;
+  cfg.crash_during_repair = true;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, 50u);
+  EXPECT_EQ(r.crash_points, 8u);
+  EXPECT_EQ(r.dirty_images, 7u);
+  EXPECT_EQ(r.pre_repair_leaks, 8u);
+  EXPECT_EQ(r.leaks_dropped, 8u);
+  EXPECT_EQ(r.repair_crash_points, 49u);
+  EXPECT_EQ(r.digest, 14623273265308619852ull);
+}
+
+// The overlay-over-cache sweep: both qcow2 files count towards
+// dirty_images, so a point can add two.
+
+TEST(GoldenMetrics, TwoFileExplorePinnedValues) {
+  crash::ExploreConfig cfg;
+  cfg.seed = 9;
+  cfg.guest_ops = 20;
+  cfg.max_crash_points = 12;
+  cfg.two_file = true;
+  const crash::ExploreReport r = crash::explore(cfg);
+  ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
+
+  EXPECT_EQ(r.total_events, 130u);
+  EXPECT_EQ(r.crash_points, 12u);
+  EXPECT_EQ(r.power_cuts, 12u);
+  EXPECT_EQ(r.replay_failures, 0u);
+  EXPECT_EQ(r.pre_repair_corruptions, 0u);
+  EXPECT_EQ(r.pre_repair_leaks, 10u);
+  EXPECT_EQ(r.dirty_images, 21u);
+  EXPECT_EQ(r.entries_cleared, 0u);
+  EXPECT_EQ(r.leaks_dropped, 10u);
+  EXPECT_EQ(r.corruptions_fixed, 0u);
+  EXPECT_EQ(r.post_repair_corruptions, 0u);
+  EXPECT_EQ(r.post_repair_leaks, 0u);
+  EXPECT_EQ(r.lost_flushed_bytes, 0u);
+  EXPECT_EQ(r.verified_points, 12u);
+  EXPECT_EQ(r.journal_replays, 0u);
+  EXPECT_EQ(r.journal_fallbacks, 0u);
+  EXPECT_EQ(r.repair_crash_points, 0u);
+  EXPECT_FALSE(r.leaks_allowed);
+}
+
 // A small crashy cloud run pins the salvage path: one node crash, whose
 // recovery repairs and re-adopts the surviving caches.
 
