@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,37 +13,36 @@
 
 namespace vmic::crash {
 
-/// Deterministic power-loss schedule for a CrashBackend. Events are
-/// successful mutating operations against the backend (pwrite, truncate,
-/// flush — reads are free); `cut_after_events = k` means the first k
-/// events complete and the power fails *instead of* event k+1.
-struct CrashPlan {
-  /// Event index at which the power cut fires (default: never).
-  std::uint64_t cut_after_events = ~std::uint64_t{0};
-  /// Seed for the drop/reorder/tear decisions at cut time.
-  std::uint64_t seed = 1;
-  /// Tear granularity: writes of at most this many bytes land atomically
-  /// (sector semantics); larger writes may persist per-sector subsets.
-  std::uint32_t sector = 512;
-};
-
 class CrashBackend;
 
-/// One shared power rail for several CrashBackends (several files of one
+/// One power rail for one or more CrashBackends (several files of one
 /// system — e.g. a cache image and a CoW overlay). The domain owns the
-/// event clock: event k is the k-th successful mutating operation on ANY
-/// member, and when the cut fires every member's unflushed window is
-/// destroyed at the same instant. That is what a host power loss does —
-/// per-file cuts cannot catch ordering bugs that span files.
+/// event clock: events are successful mutating operations on ANY member
+/// (pwrite, truncate, flush — reads are free), and `cut_after_events = k`
+/// means the first k events complete and the power fails *instead of*
+/// event k+1. The cut destroys every member's unflushed window at the
+/// same instant. That is what a host power loss does — per-file cuts
+/// cannot catch ordering bugs that span files.
 ///
 /// Members register themselves at construction and must outlive the
 /// domain's last use; the domain is borrowed, not owned.
 struct CrashDomain {
+  /// Event index at which the power cut fires (default: never).
   std::uint64_t cut_after_events = ~std::uint64_t{0};
+  /// Seed for the drop/reorder/tear decisions at cut time.
   std::uint64_t seed = 1;
   std::uint64_t events = 0;
   bool dead = false;
-  std::vector<CrashBackend*> members;
+  std::vector<CrashBackend*> members{};  ///< `{}`: designators may omit it
+};
+
+/// Schedule of a standalone CrashBackend: a domain of one member.
+struct CrashPlan {
+  std::uint64_t cut_after_events = ~std::uint64_t{0};
+  std::uint64_t seed = 1;
+  /// Tear granularity: writes of at most this many bytes land atomically
+  /// (sector semantics); larger writes may persist per-sector subsets.
+  std::uint32_t sector = 512;
 };
 
 /// What a power cut did to the unflushed window (for counters/tests).
@@ -60,7 +60,7 @@ struct CrashStats {
 /// flush() applies the window to the inner backend — which makes flush()
 /// exactly the durability barrier the BlockBackend contract promises.
 ///
-/// A power cut (scheduled via CrashPlan, or forced with power_cut())
+/// A power cut (scheduled by the domain, or forced with power_cut())
 /// destroys the pending window non-deterministically but reproducibly:
 /// each unflushed write is kept, dropped, or torn at sector granularity,
 /// driven by Rng(seed). Afterwards the backend is dead — every operation
@@ -70,36 +70,32 @@ struct CrashStats {
 /// The inner backend is borrowed and must outlive this wrapper.
 class CrashBackend final : public io::BlockBackend {
  public:
+  /// Standalone: the only member of a domain this backend owns.
   CrashBackend(io::BlockBackend& inner, CrashPlan plan,
                obs::Hub* hub = nullptr)
-      : inner_(inner), plan_(plan), shadow_size_(inner.size()) {
-    ro_ = inner.read_only();
-    bind_hub(hub);
+      : inner_(inner),
+        sector_(plan.sector),
+        shadow_size_(inner.size()),
+        own_(CrashDomain{.cut_after_events = plan.cut_after_events,
+                         .seed = plan.seed}),
+        domain_(&*own_) {
+    join(hub);
   }
 
   /// Domain member: the cut schedule and event clock live in `dom`,
-  /// shared with every other member; `plan.sector` still applies
-  /// per-backend. `dom` must outlive this wrapper.
+  /// shared with every other member; `sector` still applies per-backend.
+  /// `dom` must outlive this wrapper.
   CrashBackend(io::BlockBackend& inner, CrashDomain& dom,
                std::uint32_t sector = 512, obs::Hub* hub = nullptr)
-      : inner_(inner),
-        plan_{dom.cut_after_events, dom.seed, sector},
-        shadow_size_(inner.size()),
+      : inner_(inner), sector_(sector), shadow_size_(inner.size()),
         domain_(&dom) {
-    ro_ = inner.read_only();
-    dom.members.push_back(this);
-    bind_hub(hub);
+    join(hub);
   }
 
-  void bind_hub(obs::Hub* hub) {
-    if (hub != nullptr) {
-      c_cuts_ = &hub->registry.counter("crash.power_cuts", {});
-      c_kept_ = &hub->registry.counter("crash.writes_kept", {});
-      c_dropped_ = &hub->registry.counter("crash.writes_dropped", {});
-      c_torn_ = &hub->registry.counter("crash.writes_torn", {});
-      c_flushes_ = &hub->registry.counter("crash.flushes", {});
-    }
-  }
+  /// Members are registered by address (and a standalone one points at
+  /// its own domain), so a backend never moves.
+  CrashBackend(const CrashBackend&) = delete;
+  CrashBackend& operator=(const CrashBackend&) = delete;
 
   sim::Task<Result<void>> pread(std::uint64_t off,
                                 std::span<std::uint8_t> dst) override {
@@ -160,16 +156,10 @@ class CrashBackend final : public io::BlockBackend {
     return "crash:" + inner_.describe();
   }
 
-  /// Cut the power now, regardless of the schedule. Idempotent. For a
-  /// domain member this fells the whole domain — one rail, one cut.
+  /// Cut the power now, regardless of the schedule. Idempotent. It
+  /// fells the whole domain — one rail, one cut.
   sim::Task<Result<void>> power_cut() {
-    if (domain_ != nullptr) {
-      if (!domain_->dead) {
-        VMIC_CO_TRY_VOID(co_await cut_domain());
-      }
-    } else if (!dead_) {
-      VMIC_CO_TRY_VOID(co_await apply_cut());
-    }
+    if (!domain_->dead) VMIC_CO_TRY_VOID(co_await cut_domain());
     co_return ok_result();
   }
 
@@ -187,6 +177,18 @@ class CrashBackend final : public io::BlockBackend {
 
   static void bump(obs::Counter* c, std::uint64_t n = 1) {
     if (c != nullptr) c->inc(n);
+  }
+
+  void join(obs::Hub* hub) {
+    ro_ = inner_.read_only();
+    domain_->members.push_back(this);
+    if (hub != nullptr) {
+      c_cuts_ = &hub->registry.counter("crash.power_cuts", {});
+      c_kept_ = &hub->registry.counter("crash.writes_kept", {});
+      c_dropped_ = &hub->registry.counter("crash.writes_dropped", {});
+      c_torn_ = &hub->registry.counter("crash.writes_torn", {});
+      c_flushes_ = &hub->registry.counter("crash.flushes", {});
+    }
   }
 
   void overlay(const Op& op, std::uint64_t off,
@@ -209,36 +211,34 @@ class CrashBackend final : public io::BlockBackend {
     }
   }
 
-  /// Count a completed mutating op on the local and (if any) domain clock.
+  /// Count a completed mutating op on the local and the domain clock.
   void tick() {
     ++stats_.events;
-    if (domain_ != nullptr) ++domain_->events;
+    ++domain_->events;
   }
 
   /// Check the schedule before a mutating op; fires the cut when due.
   sim::Task<Result<void>> gate() {
-    if (domain_ != nullptr) {
-      if (!domain_->dead && domain_->events >= domain_->cut_after_events) {
-        VMIC_CO_TRY_VOID(co_await cut_domain());
-      }
-    } else if (!dead_ && stats_.events >= plan_.cut_after_events) {
-      VMIC_CO_TRY_VOID(co_await apply_cut());
+    if (!domain_->dead && domain_->events >= domain_->cut_after_events) {
+      VMIC_CO_TRY_VOID(co_await cut_domain());
     }
     if (dead_) co_return Errc::io_error;
     co_return ok_result();
   }
 
-  /// Fell every member of the domain at this instant.
+  /// Fell every member of the domain at this instant. The hub of the
+  /// member that fired the cut counts it once, however many files fall.
   sim::Task<Result<void>> cut_domain() {
     domain_->dead = true;
     for (std::size_t i = 0; i < domain_->members.size(); ++i) {
       CrashBackend* m = domain_->members[i];
       if (!m->dead_) {
-        VMIC_CO_TRY_VOID(co_await m->apply_cut_seeded(
+        VMIC_CO_TRY_VOID(co_await m->apply_cut(
             domain_->seed ^ 0xCA54C0DEull ^ domain_->events ^
             (i * 0x9E3779B97F4A7C15ull)));
       }
     }
+    bump(c_cuts_);
     co_return ok_result();
   }
 
@@ -247,12 +247,7 @@ class CrashBackend final : public io::BlockBackend {
   /// go dead. The window is applied in issue order, so a kept later write
   /// still overwrites a kept earlier one (reordering only manifests as
   /// drops in between — the observable difference on a linear store).
-  sim::Task<Result<void>> apply_cut() {
-    co_return co_await apply_cut_seeded(plan_.seed ^ 0xCA54C0DEull ^
-                                        stats_.events);
-  }
-
-  sim::Task<Result<void>> apply_cut_seeded(std::uint64_t seed) {
+  sim::Task<Result<void>> apply_cut(std::uint64_t seed) {
     Rng rng(seed);
     for (const Op& op : pending_) {
       if (op.is_trunc) {
@@ -267,7 +262,7 @@ class CrashBackend final : public io::BlockBackend {
         bump(c_dropped_);
         continue;
       }
-      if (roll == 3 && op.data.size() > plan_.sector) {
+      if (roll == 3 && op.data.size() > sector_) {
         // Tear: persist a per-sector subset (sector grid is absolute, so
         // an unaligned write tears at its intersections with the grid).
         bool any = false;
@@ -276,7 +271,7 @@ class CrashBackend final : public io::BlockBackend {
         const std::uint64_t end = op.off + op.data.size();
         while (p < end) {
           const std::uint64_t next = std::min<std::uint64_t>(
-              end, (p / plan_.sector + 1) * plan_.sector);
+              end, (p / sector_ + 1) * sector_);
           if (rng.chance(0.5)) {
             VMIC_CO_TRY_VOID(co_await inner_.pwrite(
                 p, std::span(op.data.data() + (p - op.off), next - p)));
@@ -306,14 +301,14 @@ class CrashBackend final : public io::BlockBackend {
     VMIC_CO_TRY_VOID(co_await inner_.flush());
     dead_ = true;
     ++stats_.power_cuts;
-    bump(c_cuts_);
     co_return ok_result();
   }
 
   io::BlockBackend& inner_;
-  CrashPlan plan_;
+  std::uint32_t sector_;
   std::uint64_t shadow_size_;
-  CrashDomain* domain_ = nullptr;
+  std::optional<CrashDomain> own_;  ///< a standalone backend's domain
+  CrashDomain* domain_;
   std::vector<Op> pending_;
   bool dead_ = false;
   CrashStats stats_;

@@ -45,7 +45,7 @@ std::vector<GuestOp> make_ops(const ExploreConfig& cfg) {
       ops.push_back({GuestOp::Kind::flush});
       continue;
     }
-    if (cfg.cor_chain) {
+    if (cfg.chain == ChainShape::cache_over_base) {
       // Cache images reject guest writes; the workload that matters is
       // reads pulling clusters in through copy-on-read.
       const std::uint64_t len = 512 * rng.range(1, (2 * cs) / 512);
@@ -53,7 +53,7 @@ std::vector<GuestOp> make_ops(const ExploreConfig& cfg) {
       ops.push_back({GuestOp::Kind::read, off, len});
       continue;
     }
-    if (cfg.two_file) {
+    if (cfg.chain == ChainShape::overlay_over_cache) {
       // Overlay-over-cache: reads pull clusters into the cache (CoR
       // writes file 1), writes CoW into the overlay (writes file 2) —
       // both files mutate, so a shared cut exercises their interplay.
@@ -88,42 +88,40 @@ std::vector<GuestOp> make_ops(const ExploreConfig& cfg) {
   return ops;
 }
 
-Result<void> create_image(SparseBuffer& disk, const ExploreConfig& cfg) {
-  io::MemBackend direct(&disk);
-  qcow2::Qcow2Device::CreateOptions copt;
-  copt.virtual_size = cfg.image_size;
-  copt.cluster_bits = cfg.cluster_bits;
-  copt.journal_sectors = cfg.journal_sectors;
-  if (cfg.cor_chain) {
-    copt.backing_file = "base";
-    copt.cache_quota = cfg.image_size * 4;
+/// Content of the raw base under a chain (empty for a standalone image).
+SparseBuffer make_base(const ExploreConfig& cfg) {
+  SparseBuffer base;
+  if (cfg.chain == ChainShape::standalone) return base;
+  std::vector<std::uint8_t> tmp(64 * 1024);
+  std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
+  for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
+    for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
+    base.write(off, tmp);
   }
-  return sim::sync_wait(qcow2::Qcow2Device::create(direct, copt));
+  return base;
 }
 
-/// Two files: a copy-on-read cache over the raw base, and a CoW overlay
-/// whose backing is the cache.
-Result<void> create_two_file(SparseBuffer& cache_disk,
-                             SparseBuffer& overlay_disk,
-                             const ExploreConfig& cfg) {
-  {
-    io::MemBackend direct(&cache_disk);
+/// Fresh qcow2 files of the chain, bottom first: the lone image or the
+/// copy-on-read cache over the raw base, then the CoW overlay over it.
+Result<void> create_chain(std::vector<SparseBuffer>& disks,
+                          const ExploreConfig& cfg) {
+  disks = std::vector<SparseBuffer>(
+      cfg.chain == ChainShape::overlay_over_cache ? 2 : 1);
+  for (std::size_t i = 0; i < disks.size(); ++i) {
+    io::MemBackend direct(&disks[i]);
     qcow2::Qcow2Device::CreateOptions copt;
     copt.virtual_size = cfg.image_size;
     copt.cluster_bits = cfg.cluster_bits;
     copt.journal_sectors = cfg.journal_sectors;
-    copt.backing_file = "base";
-    copt.cache_quota = cfg.image_size * 4;
-    auto r = sim::sync_wait(qcow2::Qcow2Device::create(direct, copt));
-    if (!r.ok()) return r;
+    if (i > 0) {
+      copt.backing_file = "cache";
+    } else if (cfg.chain != ChainShape::standalone) {
+      copt.backing_file = "base";
+      copt.cache_quota = cfg.image_size * 4;
+    }
+    VMIC_TRY_VOID(sim::sync_wait(qcow2::Qcow2Device::create(direct, copt)));
   }
-  io::MemBackend direct(&overlay_disk);
-  qcow2::Qcow2Device::CreateOptions copt;
-  copt.virtual_size = cfg.image_size;
-  copt.cluster_bits = cfg.cluster_bits;
-  copt.journal_sectors = cfg.journal_sectors;
-  copt.backing_file = "cache";
-  return sim::sync_wait(qcow2::Qcow2Device::create(direct, copt));
+  return ok_result();
 }
 
 sim::Task<Result<block::DevicePtr>> open_base(SparseBuffer* buf,
@@ -132,58 +130,65 @@ sim::Task<Result<block::DevicePtr>> open_base(SparseBuffer* buf,
       io::BackendPtr{std::make_unique<io::MemBackend>(buf)}, size);
 }
 
-Result<block::DevicePtr> open_image(io::BackendPtr file,
-                                    const ExploreConfig& cfg, SparseBuffer* base,
-                                    bool auto_repair) {
+struct LinkOptions {
+  std::uint64_t size;
+  bool lazy;
+  bool auto_repair;
+  obs::Hub* hub;
+  SparseBuffer* base;  ///< raw base under file 0 (nullptr: none)
+};
+
+/// Open the top one of `files` (bottom first) writable; its backing
+/// resolves to the file below it, and file 0's to the raw base. All by
+/// value: the coroutine must not reference a resolver lambda that may be
+/// gone by resume time.
+sim::Task<Result<block::DevicePtr>> open_link(
+    std::vector<io::BackendPtr> files, LinkOptions lo) {
+  io::BackendPtr top = std::move(files.back());
+  files.pop_back();
   block::OpenOptions opt;
   opt.writable = true;
-  opt.lazy_refcounts = cfg.lazy_refcounts;
-  opt.auto_repair_dirty = auto_repair;
-  opt.hub = cfg.hub;
-  if (cfg.cor_chain) {
-    opt.resolver = [base, size = cfg.image_size](const std::string&, bool) {
-      return open_base(base, size);
+  opt.lazy_refcounts = lo.lazy;
+  opt.auto_repair_dirty = lo.auto_repair;
+  opt.hub = lo.hub;
+  if (lo.base != nullptr) {
+    auto below =
+        std::make_shared<std::vector<io::BackendPtr>>(std::move(files));
+    opt.resolver = [below, lo](const std::string&, bool) {
+      if (below->empty()) return open_base(lo.base, lo.size);
+      return open_link(std::move(*below), lo);
     };
   }
-  return sim::sync_wait(qcow2::Qcow2Device::open(std::move(file), opt));
+  co_return co_await qcow2::Qcow2Device::open(std::move(top), opt);
 }
 
-/// Middle link of the two-file chain (everything by value: the coroutine
-/// must not reference a resolver lambda that may be gone by resume time).
-sim::Task<Result<block::DevicePtr>> open_cache_link(io::BackendPtr file,
-                                                    std::uint64_t size,
-                                                    SparseBuffer* base,
-                                                    bool lazy, bool auto_repair,
-                                                    obs::Hub* hub) {
-  block::OpenOptions opt;
-  opt.writable = true;
-  opt.lazy_refcounts = lazy;
-  opt.auto_repair_dirty = auto_repair;
-  opt.hub = hub;
-  opt.resolver = [base, size](const std::string&, bool) {
-    return open_base(base, size);
-  };
-  co_return co_await qcow2::Qcow2Device::open(std::move(file), opt);
+Result<block::DevicePtr> open_chain(std::vector<io::BackendPtr> files,
+                                    const ExploreConfig& cfg,
+                                    SparseBuffer* base, bool auto_repair) {
+  return sim::sync_wait(open_link(
+      std::move(files),
+      {cfg.image_size, cfg.lazy_refcounts, auto_repair, cfg.hub, base}));
 }
 
-Result<block::DevicePtr> open_overlay_chain(io::BackendPtr overlay_file,
-                                            io::BackendPtr cache_file,
-                                            const ExploreConfig& cfg,
-                                            SparseBuffer* base,
-                                            bool auto_repair) {
-  block::OpenOptions opt;
-  opt.writable = true;
-  opt.lazy_refcounts = cfg.lazy_refcounts;
-  opt.auto_repair_dirty = auto_repair;
-  opt.hub = cfg.hub;
-  auto holder = std::make_shared<io::BackendPtr>(std::move(cache_file));
-  opt.resolver = [holder, size = cfg.image_size, base,
-                  lazy = cfg.lazy_refcounts, auto_repair,
-                  hub = cfg.hub](const std::string&, bool) {
-    return open_cache_link(std::move(*holder), size, base, lazy, auto_repair,
-                           hub);
-  };
-  return sim::sync_wait(qcow2::Qcow2Device::open(std::move(overlay_file), opt));
+/// Never-cut backends over the chain's files, for reopening after a cut.
+std::vector<io::BackendPtr> plain_files(std::vector<SparseBuffer>& disks) {
+  std::vector<io::BackendPtr> files;
+  for (SparseBuffer& d : disks) {
+    files.push_back(std::make_unique<io::MemBackend>(&d));
+  }
+  return files;
+}
+
+/// The qcow2 files of an opened chain of `n`, top first.
+std::vector<qcow2::Qcow2Device*> qcow2_files(block::BlockDevice& top,
+                                             std::size_t n) {
+  std::vector<qcow2::Qcow2Device*> files;
+  block::BlockDevice* d = &top;
+  for (std::size_t i = 0; i < n; ++i) {
+    files.push_back(static_cast<qcow2::Qcow2Device*>(d));
+    d = files.back()->backing();
+  }
+  return files;
 }
 
 struct RunOutcome {
@@ -234,10 +239,10 @@ RunOutcome run_ops(block::BlockDevice& dev, const std::vector<GuestOp>& ops,
   return out;
 }
 
-/// Bytes of flush-covered guest data the reopened (repaired) image gets
-/// wrong. In cor_chain mode every byte must match the base — lost CoR
-/// fills are refetched through the backing chain, so there is no dirty
-/// window at all.
+/// Bytes of flush-covered guest data the reopened (repaired) chain gets
+/// wrong. Under a read-only workload every byte must match the base —
+/// lost CoR fills are refetched through the backing chain, so there is no
+/// dirty window at all.
 std::uint64_t verify_content(block::BlockDevice& dev, const ExploreConfig& cfg,
                              const std::vector<GuestOp>& ops,
                              std::size_t completed, const SparseBuffer* base) {
@@ -248,8 +253,8 @@ std::uint64_t verify_content(block::BlockDevice& dev, const ExploreConfig& cfg,
   // standalone). A flush makes every guest op *before* it durable;
   // anything after the last completed flush (including the op the cut
   // interrupted) may hold old, new, or torn content — excluded from
-  // comparison. Pure-read workloads (cor_chain) mark nothing dirty, so
-  // every byte must match the base.
+  // comparison. Pure-read workloads mark nothing dirty, so every byte
+  // must match the base.
   if (base != nullptr) base->read(0, expect);
   std::size_t last_flush = kNoFlush;
   for (std::size_t i = 0; i < completed; ++i) {
@@ -290,64 +295,90 @@ std::uint64_t verify_content(block::BlockDevice& dev, const ExploreConfig& cfg,
   return mismatches;
 }
 
-ExploreReport explore_two_file(const ExploreConfig& cfg);
+/// Crash points to replay: every event of a recording run of `total`
+/// events plus the point after the last one, or `max` of them sampled
+/// evenly (always including the last).
+std::vector<std::uint64_t> pick_points(std::uint64_t total,
+                                       std::uint64_t max) {
+  std::vector<std::uint64_t> points;
+  const std::uint64_t all = total + 1;
+  if (max > 0 && all > max) {
+    for (std::uint64_t i = 0; i + 1 < max; ++i) points.push_back(i * all / max);
+    points.push_back(total);
+  } else {
+    for (std::uint64_t k = 0; k < all; ++k) points.push_back(k);
+  }
+  return points;
+}
+
+struct Replay {
+  Errc open_err = Errc::ok;  ///< the chain did not open (io_error: the cut)
+  RunOutcome out;
+  CrashStats stats;  ///< what the cut did, summed over the chain's files
+};
+
+/// Open the chain over `disks` (auto-repairing a dirty file) with every
+/// qcow2 file on the power rail `dom`, bottom file first, and run `ops`.
+/// With `die` the process then dies: the power is cut if it has not
+/// failed yet. Either way the device is dropped without close().
+Replay replay(CrashDomain& dom, std::vector<SparseBuffer>& disks,
+              const ExploreConfig& cfg, SparseBuffer* base, obs::Hub* hub,
+              const std::vector<GuestOp>& ops, bool die) {
+  Replay r;
+  std::vector<std::unique_ptr<io::MemBackend>> inner;
+  std::vector<io::BackendPtr> files;
+  for (SparseBuffer& d : disks) {
+    inner.push_back(std::make_unique<io::MemBackend>(&d));
+    files.push_back(
+        std::make_unique<CrashBackend>(*inner.back(), dom, 512, hub));
+  }
+  auto dev = open_chain(std::move(files), cfg, base, /*auto_repair=*/true);
+  if (!dev.ok()) {
+    r.open_err = dev.error();
+    return r;
+  }
+  // Reads through a cache that nothing writes must already be faithful.
+  r.out = run_ops(**dev, ops,
+                  cfg.chain == ChainShape::cache_over_base ? base : nullptr);
+  if (die && !dom.dead) (void)sim::sync_wait(dom.members[0]->power_cut());
+  for (const CrashBackend* m : dom.members) {
+    r.stats.writes_kept += m->stats().writes_kept;
+    r.stats.writes_dropped += m->stats().writes_dropped;
+    r.stats.writes_torn += m->stats().writes_torn;
+  }
+  return r;
+}
 
 }  // namespace
 
 ExploreReport explore(const ExploreConfig& cfg) {
   assert(cfg.image_size % (1ull << cfg.cluster_bits) == 0);
-  if (cfg.two_file) return explore_two_file(cfg);
   ExploreReport rep;
   rep.leaks_allowed = cfg.journal_sectors > 0;
   const std::vector<GuestOp> ops = make_ops(cfg);
-
-  SparseBuffer base;
-  if (cfg.cor_chain) {
-    std::vector<std::uint8_t> tmp(64 * 1024);
-    std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
-    for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
-      for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
-      base.write(off, tmp);
-    }
-  }
-  SparseBuffer* base_p = cfg.cor_chain ? &base : nullptr;
+  SparseBuffer base = make_base(cfg);
+  SparseBuffer* base_p = cfg.chain != ChainShape::standalone ? &base : nullptr;
 
   // Recording run: never cut, count the backend events the workload
   // produces. Every crash point k in [0, total] replays identically up to
   // its cut (k = total models a crash after the last op, before close).
   {
-    SparseBuffer disk;
-    if (!create_image(disk, cfg).ok()) {
+    std::vector<SparseBuffer> disks;
+    if (!create_chain(disks, cfg).ok()) {
       ++rep.replay_failures;
       return rep;
     }
-    io::MemBackend inner(&disk);
-    auto cb = std::make_unique<CrashBackend>(inner, CrashPlan{}, nullptr);
-    CrashBackend* cbp = cb.get();
-    auto dev = open_image(io::BackendPtr{std::move(cb)}, cfg, base_p,
-                          /*auto_repair=*/true);
-    if (!dev.ok()) {
+    CrashDomain dom;
+    const Replay rec = replay(dom, disks, cfg, base_p, nullptr, ops, false);
+    if (rec.open_err != Errc::ok || rec.out.err != Errc::ok) {
       ++rep.replay_failures;
       return rep;
     }
-    const RunOutcome out = run_ops(**dev, ops, base_p);
-    if (out.err != Errc::ok) {
-      ++rep.replay_failures;
-      return rep;
-    }
-    rep.total_events = cbp->events();
+    rep.total_events = dom.events;
   }
 
-  std::vector<std::uint64_t> points;
-  const std::uint64_t all = rep.total_events + 1;
-  if (cfg.max_crash_points > 0 && all > cfg.max_crash_points) {
-    for (std::uint64_t i = 0; i + 1 < cfg.max_crash_points; ++i) {
-      points.push_back(i * all / cfg.max_crash_points);
-    }
-    points.push_back(rep.total_events);
-  } else {
-    for (std::uint64_t k = 0; k < all; ++k) points.push_back(k);
-  }
+  const std::vector<std::uint64_t> points =
+      pick_points(rep.total_events, cfg.max_crash_points);
   rep.crash_points = points.size();
 
   std::uint64_t fnv = 0xcbf29ce484222325ull;
@@ -357,85 +388,76 @@ ExploreReport explore(const ExploreConfig& cfg) {
       fnv *= 0x100000001b3ull;
     }
   };
+  // Adds a post-repair check to the report; false if it shows a blemish.
+  const auto post_clean = [&rep](const qcow2::CheckResult& c) {
+    rep.post_repair_corruptions += c.corruptions;
+    rep.post_repair_leaks += c.leaked_clusters;
+    return c.corruptions == 0 && (c.leaked_clusters == 0 || rep.leaks_allowed);
+  };
+
+  struct FileRepair {
+    qcow2::CheckResult pre;
+    qcow2::RepairReport fixed;
+  };
 
   for (const std::uint64_t k : points) {
     bool point_ok = true;
-    SparseBuffer disk;
-    if (!create_image(disk, cfg).ok()) {
+    std::vector<SparseBuffer> disks;
+    if (!create_chain(disks, cfg).ok()) {
       ++rep.replay_failures;
       continue;
     }
-    CrashStats cstats;
-    std::size_t completed = 0;
-    {
-      io::MemBackend inner(&disk);
-      auto cb = std::make_unique<CrashBackend>(
-          inner, CrashPlan{.cut_after_events = k, .seed = cfg.seed}, cfg.hub);
-      CrashBackend* cbp = cb.get();
-      auto dev = open_image(io::BackendPtr{std::move(cb)}, cfg, base_p,
-                            /*auto_repair=*/true);
-      if (!dev.ok()) {
-        ++rep.replay_failures;
-        continue;
-      }
-      const RunOutcome out = run_ops(**dev, ops, base_p);
-      completed = out.completed;
-      if (out.err != Errc::ok && out.err != Errc::io_error) {
-        ++rep.replay_failures;
-        point_ok = false;
-      }
-      // Points at/after the workload's end: force the cut, then drop the
-      // device without close() — the process just died.
-      if (cbp->alive()) (void)sim::sync_wait(cbp->power_cut());
-      cstats = cbp->stats();
+    CrashDomain dom{.cut_after_events = k, .seed = cfg.seed};
+    const Replay run = replay(dom, disks, cfg, base_p, cfg.hub, ops, true);
+    if (run.open_err != Errc::ok) {
+      ++rep.replay_failures;
+      continue;
     }
-    rep.power_cuts += cstats.power_cuts;
+    const std::size_t completed = run.out.completed;
+    if (run.out.err != Errc::ok && run.out.err != Errc::io_error) {
+      ++rep.replay_failures;
+      point_ok = false;
+    }
+    if (dom.dead) ++rep.power_cuts;
 
     // Snapshot the crashed state before the primary repair mutates it —
     // the repair-of-repair loop below replays repair from this state.
-    SparseBuffer crashed;
-    if (cfg.crash_during_repair) crashed = disk.clone();
+    std::vector<SparseBuffer> crashed;
+    if (cfg.crash_during_repair) {
+      for (const SparseBuffer& d : disks) crashed.push_back(d.clone());
+    }
 
     auto reopened =
-        open_image(io::BackendPtr{std::make_unique<io::MemBackend>(&disk)}, cfg,
-                   base_p, /*auto_repair=*/false);
+        open_chain(plain_files(disks), cfg, base_p, /*auto_repair=*/false);
     if (!reopened.ok()) {
       ++rep.replay_failures;
       continue;
     }
-    auto* q = static_cast<qcow2::Qcow2Device*>(reopened->get());
-    if (q->dirty()) ++rep.dirty_images;
+    std::vector<FileRepair> repaired;
+    for (qcow2::Qcow2Device* q : qcow2_files(**reopened, disks.size())) {
+      if (q->dirty()) ++rep.dirty_images;
+      const auto pre = sim::sync_wait(q->check());
+      if (!pre.ok()) break;
+      rep.pre_repair_corruptions += pre->corruptions;
+      rep.pre_repair_leaks += pre->leaked_clusters;
+      if (pre->corruptions != 0) point_ok = false;
 
-    const auto pre = sim::sync_wait(q->check());
-    if (!pre.ok()) {
+      const auto fixed = sim::sync_wait(q->repair());
+      if (!fixed.ok()) break;
+      rep.entries_cleared += fixed->entries_cleared;
+      rep.leaks_dropped += fixed->leaks_dropped;
+      rep.corruptions_fixed += fixed->corruptions_fixed;
+      if (fixed->journal_replayed) ++rep.journal_replays;
+      if (fixed->journal_fallback) ++rep.journal_fallbacks;
+
+      const auto post = sim::sync_wait(q->check());
+      if (!post.ok()) break;
+      if (!post_clean(*post)) point_ok = false;
+      repaired.push_back({*pre, *fixed});
+    }
+    if (repaired.size() != disks.size()) {
       ++rep.replay_failures;
       continue;
-    }
-    rep.pre_repair_corruptions += pre->corruptions;
-    rep.pre_repair_leaks += pre->leaked_clusters;
-    if (pre->corruptions != 0) point_ok = false;
-
-    const auto fixed = sim::sync_wait(q->repair());
-    if (!fixed.ok()) {
-      ++rep.replay_failures;
-      continue;
-    }
-    rep.entries_cleared += fixed->entries_cleared;
-    rep.leaks_dropped += fixed->leaks_dropped;
-    rep.corruptions_fixed += fixed->corruptions_fixed;
-    if (fixed->journal_replayed) ++rep.journal_replays;
-    if (fixed->journal_fallback) ++rep.journal_fallbacks;
-
-    const auto post = sim::sync_wait(q->check());
-    if (!post.ok()) {
-      ++rep.replay_failures;
-      continue;
-    }
-    rep.post_repair_corruptions += post->corruptions;
-    rep.post_repair_leaks += post->leaked_clusters;
-    if (post->corruptions != 0 ||
-        (post->leaked_clusters != 0 && !rep.leaks_allowed)) {
-      point_ok = false;
     }
 
     const std::uint64_t lost =
@@ -446,56 +468,42 @@ ExploreReport explore(const ExploreConfig& cfg) {
 
     // Repair-of-repair: the power can fail again at any instant of the
     // repair the crash forced. Replay that repair against a clone of the
-    // crashed disk, cutting at every one of its own mutating events; the
-    // half-repaired image must reopen, repair, and verify like any other
+    // crashed chain, cutting at every one of its own mutating events; the
+    // half-repaired chain must reopen, repair, and verify like any other
     // crash state.
     if (cfg.crash_during_repair) {
       for (std::uint64_t j = 0; j < 100000; ++j) {
-        SparseBuffer rdisk = crashed.clone();
-        bool cut_fired = false;
-        {
-          io::MemBackend rinner(&rdisk);
-          auto rcb = std::make_unique<CrashBackend>(
-              rinner,
-              CrashPlan{.cut_after_events = j, .seed = cfg.seed ^ 0x5ec0ecull},
-              nullptr);
-          CrashBackend* rcbp = rcb.get();
-          auto rdev = open_image(io::BackendPtr{std::move(rcb)}, cfg, base_p,
-                                 /*auto_repair=*/true);
-          if (rdev.ok()) {
-            cut_fired = !rcbp->alive();
-            // Drop without close(): the process died with the cut (or we
-            // only cared about the repair window).
-          } else if (rdev.error() == Errc::io_error) {
-            cut_fired = true;
-          } else {
-            ++rep.replay_failures;
-            point_ok = false;
-            break;
-          }
+        std::vector<SparseBuffer> rdisks;
+        for (const SparseBuffer& d : crashed) rdisks.push_back(d.clone());
+        CrashDomain rdom{.cut_after_events = j, .seed = cfg.seed ^ 0x5ec0ecull};
+        const Replay rr = replay(rdom, rdisks, cfg, base_p, nullptr, {}, false);
+        if (rr.open_err != Errc::ok && rr.open_err != Errc::io_error) {
+          ++rep.replay_failures;
+          point_ok = false;
+          break;
         }
-        if (!cut_fired) break;  // repair ran to completion before event j
+        if (!rdom.dead) break;  // repair ran to completion before event j
         ++rep.repair_crash_points;
-        auto r2 = open_image(
-            io::BackendPtr{std::make_unique<io::MemBackend>(&rdisk)}, cfg,
-            base_p, /*auto_repair=*/true);
+        auto r2 =
+            open_chain(plain_files(rdisks), cfg, base_p, /*auto_repair=*/true);
         if (!r2.ok()) {
           ++rep.replay_failures;
           point_ok = false;
           break;
         }
-        auto* q2 = static_cast<qcow2::Qcow2Device*>(r2->get());
-        const auto chk = sim::sync_wait(q2->check());
-        if (!chk.ok()) {
+        bool checked = true;
+        for (qcow2::Qcow2Device* q : qcow2_files(**r2, rdisks.size())) {
+          const auto chk = sim::sync_wait(q->check());
+          if (!chk.ok()) {
+            checked = false;
+            break;
+          }
+          if (!post_clean(*chk)) point_ok = false;
+        }
+        if (!checked) {
           ++rep.replay_failures;
           point_ok = false;
           break;
-        }
-        rep.post_repair_corruptions += chk->corruptions;
-        rep.post_repair_leaks += chk->leaked_clusters;
-        if (chk->corruptions != 0 ||
-            (chk->leaked_clusters != 0 && !rep.leaks_allowed)) {
-          point_ok = false;
         }
         const std::uint64_t rlost =
             verify_content(**r2, cfg, ops, completed, base_p);
@@ -507,210 +515,27 @@ ExploreReport explore(const ExploreConfig& cfg) {
 
     if (point_ok) ++rep.verified_points;
     mix(k);
-    mix(cstats.writes_kept);
-    mix(cstats.writes_dropped);
-    mix(cstats.writes_torn);
-    mix(pre->leaked_clusters);
-    mix(pre->corruptions);
-    mix(fixed->entries_cleared);
-    mix(fixed->leaks_dropped);
-    mix(fixed->corruptions_fixed);
+    mix(run.stats.writes_kept);
+    mix(run.stats.writes_dropped);
+    mix(run.stats.writes_torn);
+    for (const FileRepair& f : repaired) {
+      mix(f.pre.leaked_clusters);
+      mix(f.pre.corruptions);
+      mix(f.fixed.entries_cleared);
+      mix(f.fixed.leaks_dropped);
+      mix(f.fixed.corruptions_fixed);
+    }
     mix(lost);
     if (cfg.journal_sectors > 0) {
-      mix(fixed->journal_replayed ? 1 : 0);
-      mix(fixed->journal_entries);
+      for (const FileRepair& f : repaired) {
+        mix(f.fixed.journal_replayed ? 1 : 0);
+        mix(f.fixed.journal_entries);
+      }
     }
   }
   rep.digest = fnv;
   return rep;
 }
-
-namespace {
-
-/// Two-file sweep: overlay + cache fall off the same power rail. The
-/// invariants are the single-file ones on *both* images, plus content:
-/// flushed guest writes survive in the overlay, and everything else must
-/// still read as the base through the (repaired) chain.
-ExploreReport explore_two_file(const ExploreConfig& cfg) {
-  ExploreReport rep;
-  rep.leaks_allowed = cfg.journal_sectors > 0;
-  const std::vector<GuestOp> ops = make_ops(cfg);
-
-  SparseBuffer base;
-  {
-    std::vector<std::uint8_t> tmp(64 * 1024);
-    std::uint64_t sm = cfg.seed ^ 0xba5eba11ull;
-    for (std::uint64_t off = 0; off < cfg.image_size; off += tmp.size()) {
-      for (auto& b : tmp) b = static_cast<std::uint8_t>(splitmix64(sm));
-      base.write(off, tmp);
-    }
-  }
-
-  // Recording run across the shared event clock.
-  {
-    SparseBuffer cache_disk;
-    SparseBuffer overlay_disk;
-    if (!create_two_file(cache_disk, overlay_disk, cfg).ok()) {
-      ++rep.replay_failures;
-      return rep;
-    }
-    CrashDomain dom;
-    io::MemBackend cache_inner(&cache_disk);
-    io::MemBackend overlay_inner(&overlay_disk);
-    auto ccb = std::make_unique<CrashBackend>(cache_inner, dom);
-    auto ocb = std::make_unique<CrashBackend>(overlay_inner, dom);
-    auto dev = open_overlay_chain(io::BackendPtr{std::move(ocb)},
-                                  io::BackendPtr{std::move(ccb)}, cfg, &base,
-                                  /*auto_repair=*/true);
-    if (!dev.ok()) {
-      ++rep.replay_failures;
-      return rep;
-    }
-    const RunOutcome out = run_ops(**dev, ops, nullptr);
-    if (out.err != Errc::ok) {
-      ++rep.replay_failures;
-      return rep;
-    }
-    rep.total_events = dom.events;
-  }
-
-  std::vector<std::uint64_t> points;
-  const std::uint64_t all = rep.total_events + 1;
-  if (cfg.max_crash_points > 0 && all > cfg.max_crash_points) {
-    for (std::uint64_t i = 0; i + 1 < cfg.max_crash_points; ++i) {
-      points.push_back(i * all / cfg.max_crash_points);
-    }
-    points.push_back(rep.total_events);
-  } else {
-    for (std::uint64_t k = 0; k < all; ++k) points.push_back(k);
-  }
-  rep.crash_points = points.size();
-
-  std::uint64_t fnv = 0xcbf29ce484222325ull;
-  const auto mix = [&fnv](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fnv ^= (v >> (8 * i)) & 0xff;
-      fnv *= 0x100000001b3ull;
-    }
-  };
-
-  for (const std::uint64_t k : points) {
-    bool point_ok = true;
-    SparseBuffer cache_disk;
-    SparseBuffer overlay_disk;
-    if (!create_two_file(cache_disk, overlay_disk, cfg).ok()) {
-      ++rep.replay_failures;
-      continue;
-    }
-    CrashStats cache_stats;
-    CrashStats overlay_stats;
-    std::size_t completed = 0;
-    {
-      CrashDomain dom;
-      dom.cut_after_events = k;
-      dom.seed = cfg.seed;
-      io::MemBackend cache_inner(&cache_disk);
-      io::MemBackend overlay_inner(&overlay_disk);
-      auto ccb = std::make_unique<CrashBackend>(cache_inner, dom, 512,
-                                                cfg.hub);
-      auto ocb = std::make_unique<CrashBackend>(overlay_inner, dom, 512,
-                                                cfg.hub);
-      CrashBackend* ccbp = ccb.get();
-      CrashBackend* ocbp = ocb.get();
-      auto dev = open_overlay_chain(io::BackendPtr{std::move(ocb)},
-                                    io::BackendPtr{std::move(ccb)}, cfg, &base,
-                                    /*auto_repair=*/true);
-      if (!dev.ok()) {
-        ++rep.replay_failures;
-        continue;
-      }
-      const RunOutcome out = run_ops(**dev, ops, nullptr);
-      completed = out.completed;
-      if (out.err != Errc::ok && out.err != Errc::io_error) {
-        ++rep.replay_failures;
-        point_ok = false;
-      }
-      if (ocbp->alive()) (void)sim::sync_wait(ocbp->power_cut());
-      cache_stats = ccbp->stats();
-      overlay_stats = ocbp->stats();
-      rep.power_cuts += 1;
-    }
-
-    auto reopened = open_overlay_chain(
-        io::BackendPtr{std::make_unique<io::MemBackend>(&overlay_disk)},
-        io::BackendPtr{std::make_unique<io::MemBackend>(&cache_disk)}, cfg,
-        &base, /*auto_repair=*/false);
-    if (!reopened.ok()) {
-      ++rep.replay_failures;
-      continue;
-    }
-    auto* overlay = static_cast<qcow2::Qcow2Device*>(reopened->get());
-    auto* cache = static_cast<qcow2::Qcow2Device*>(overlay->backing());
-    if (overlay->dirty()) ++rep.dirty_images;
-    if (cache->dirty()) ++rep.dirty_images;
-
-    bool failed = false;
-    for (qcow2::Qcow2Device* q : {overlay, cache}) {
-      const auto pre = sim::sync_wait(q->check());
-      if (!pre.ok()) {
-        ++rep.replay_failures;
-        failed = true;
-        break;
-      }
-      rep.pre_repair_corruptions += pre->corruptions;
-      rep.pre_repair_leaks += pre->leaked_clusters;
-      if (pre->corruptions != 0) point_ok = false;
-      mix(pre->leaked_clusters);
-      mix(pre->corruptions);
-
-      const auto fixed = sim::sync_wait(q->repair());
-      if (!fixed.ok()) {
-        ++rep.replay_failures;
-        failed = true;
-        break;
-      }
-      rep.entries_cleared += fixed->entries_cleared;
-      rep.leaks_dropped += fixed->leaks_dropped;
-      rep.corruptions_fixed += fixed->corruptions_fixed;
-      if (fixed->journal_replayed) ++rep.journal_replays;
-      if (fixed->journal_fallback) ++rep.journal_fallbacks;
-      mix(fixed->entries_cleared);
-      mix(fixed->leaks_dropped);
-      mix(fixed->corruptions_fixed);
-
-      const auto post = sim::sync_wait(q->check());
-      if (!post.ok()) {
-        ++rep.replay_failures;
-        failed = true;
-        break;
-      }
-      rep.post_repair_corruptions += post->corruptions;
-      rep.post_repair_leaks += post->leaked_clusters;
-      if (post->corruptions != 0 ||
-          (post->leaked_clusters != 0 && !rep.leaks_allowed)) {
-        point_ok = false;
-      }
-    }
-    if (failed) continue;
-
-    const std::uint64_t lost =
-        verify_content(**reopened, cfg, ops, completed, &base);
-    rep.lost_flushed_bytes += lost;
-    if (lost != 0) point_ok = false;
-    (void)sim::sync_wait((*reopened)->close());
-
-    if (point_ok) ++rep.verified_points;
-    mix(k);
-    mix(cache_stats.writes_kept + overlay_stats.writes_kept);
-    mix(cache_stats.writes_dropped + overlay_stats.writes_dropped);
-    mix(cache_stats.writes_torn + overlay_stats.writes_torn);
-    mix(lost);
-  }
-  rep.digest = fnv;
-  return rep;
-}
-
-}  // namespace
 
 std::string to_json(const ExploreReport& r, const ExploreConfig& cfg) {
   std::string s = "{\n";
@@ -727,10 +552,10 @@ std::string to_json(const ExploreReport& r, const ExploreConfig& cfg) {
   field("image_size", cfg.image_size);
   field("guest_ops", static_cast<std::uint64_t>(cfg.guest_ops));
   field("lazy_refcounts", cfg.lazy_refcounts ? 1 : 0);
-  field("cor_chain", cfg.cor_chain ? 1 : 0);
+  field("cor_chain", cfg.chain == ChainShape::cache_over_base ? 1 : 0);
   field("journal_sectors", cfg.journal_sectors);
   field("crash_during_repair", cfg.crash_during_repair ? 1 : 0);
-  field("two_file", cfg.two_file ? 1 : 0);
+  field("two_file", cfg.chain == ChainShape::overlay_over_cache ? 1 : 0);
   field("max_crash_points", cfg.max_crash_points);
   field("total_events", r.total_events);
   field("crash_points", r.crash_points);

@@ -7,6 +7,23 @@
 
 namespace vmic::crash {
 
+/// The image chain a sweep crashes. Every qcow2 file of the chain sits
+/// behind one CrashDomain, so a cut fells all of them at the same instant;
+/// the raw base below a chain is never cut.
+enum class ChainShape {
+  /// One qcow2 image. The workload is guest writes, flushes, zeroes and
+  /// discards.
+  standalone,
+  /// A copy-on-read cache over a raw base. The workload is guest reads
+  /// through the warming cache, and the invariant is a clean cache whose
+  /// contents still match the base.
+  cache_over_base,
+  /// A CoW overlay over a copy-on-read cache over a raw base. Guest reads
+  /// pull clusters into the cache and guest writes land in the overlay,
+  /// so both files mutate and a cut catches ordering bugs that span them.
+  overlay_over_cache,
+};
+
 /// Configuration for the exhaustive crash-point sweep.
 struct ExploreConfig {
   std::uint64_t seed = 1;
@@ -20,10 +37,7 @@ struct ExploreConfig {
   double discard_probability = 0.05;
   /// Run the image with deferred refcount decrements.
   bool lazy_refcounts = false;
-  /// Crash the *cache* of a copy-on-read chain instead of a standalone
-  /// image: the workload is guest reads through a warming cache, and the
-  /// invariant is a clean cache whose contents still match the base.
-  bool cor_chain = false;
+  ChainShape chain = ChainShape::standalone;
   /// Cap on crash points explored (sampled evenly); 0 = every event of
   /// the recording run, i.e. every flush boundary and every point in
   /// between (intra-write states are covered by sector tearing).
@@ -36,11 +50,6 @@ struct ExploreConfig {
   /// the auto-repair that follows (repair-of-repair): repair itself must
   /// be crash-safe at every instant.
   bool crash_during_repair = false;
-  /// Two-file chain: a CoW overlay (guest writes) over a cache image
-  /// (copy-on-read) over a raw base, with BOTH qcow2 files behind one
-  /// CrashDomain — the cut fells them at the same instant, the only way
-  /// to catch ordering bugs that span files.
-  bool two_file = false;
   /// Optional sink for crash.* counters.
   obs::Hub* hub = nullptr;
 };
@@ -82,9 +91,9 @@ struct ExploreReport {
 };
 
 /// Replay the scripted workload once to enumerate crash points, then for
-/// each point: re-run against a fresh image, cut the power, reopen,
-/// repair, check, and verify surviving content. Host-side and
-/// deterministic for a fixed config.
+/// each point: re-run against a fresh chain, cut the power, reopen, check,
+/// repair and re-check every qcow2 file, and verify surviving content.
+/// Host-side and deterministic for a fixed config.
 ExploreReport explore(const ExploreConfig& cfg);
 
 /// JSON rendering of a report (CI artifact).

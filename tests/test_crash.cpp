@@ -611,7 +611,7 @@ TEST(Explore, CorChainSweepPasses) {
   ExploreConfig cfg;
   cfg.seed = 3;
   cfg.guest_ops = 24;
-  cfg.cor_chain = true;
+  cfg.chain = ChainShape::cache_over_base;
   cfg.max_crash_points = 16;
   const ExploreReport r = explore(cfg);
   EXPECT_TRUE(r.pass()) << to_json(r, cfg);
@@ -691,13 +691,27 @@ TEST(Explore, TwoFileSweepPasses) {
   ExploreConfig cfg;
   cfg.seed = 9;
   cfg.guest_ops = 20;
-  cfg.two_file = true;
+  cfg.chain = ChainShape::overlay_over_cache;
   cfg.max_crash_points = 12;
   const ExploreReport r = explore(cfg);
   EXPECT_TRUE(r.pass()) << to_json(r, cfg);
   EXPECT_GT(r.crash_points, 0u);
   EXPECT_EQ(r.pre_repair_corruptions, 0u);
   EXPECT_EQ(r.lost_flushed_bytes, 0u);
+}
+
+TEST(Explore, TwoFileRepairOfRepairSweepPasses) {
+  // Repair of the overlay and the cache, cut at every instant of either:
+  // the half-repaired chain must reopen, repair and verify.
+  ExploreConfig cfg;
+  cfg.seed = 9;
+  cfg.guest_ops = 12;
+  cfg.chain = ChainShape::overlay_over_cache;
+  cfg.crash_during_repair = true;
+  cfg.max_crash_points = 6;
+  const ExploreReport r = explore(cfg);
+  EXPECT_TRUE(r.pass()) << to_json(r, cfg);
+  EXPECT_GT(r.repair_crash_points, 0u);
 }
 
 TEST(Explore, DigestIsDeterministic) {
@@ -718,16 +732,22 @@ TEST(Explore, DigestIsDeterministic) {
 }
 
 TEST(Explore, CountersFlowIntoHub) {
-  obs::Hub hub;
-  ExploreConfig cfg;
-  cfg.seed = 4;
-  cfg.guest_ops = 12;
-  cfg.max_crash_points = 6;
-  cfg.hub = &hub;
-  const ExploreReport r = explore(cfg);
-  EXPECT_TRUE(r.pass()) << to_json(r, cfg);
-  EXPECT_EQ(hub.registry.counter("crash.power_cuts", {}).value(),
-            r.power_cuts);
+  // One cut fells every file of the chain, but counts once.
+  for (const ChainShape chain :
+       {ChainShape::standalone, ChainShape::overlay_over_cache}) {
+    obs::Hub hub;
+    ExploreConfig cfg;
+    cfg.seed = 4;
+    cfg.guest_ops = 12;
+    cfg.max_crash_points = 6;
+    cfg.chain = chain;
+    cfg.hub = &hub;
+    const ExploreReport r = explore(cfg);
+    EXPECT_TRUE(r.pass()) << to_json(r, cfg);
+    EXPECT_EQ(r.power_cuts, r.crash_points);
+    EXPECT_EQ(hub.registry.counter("crash.power_cuts", {}).value(),
+              r.power_cuts);
+  }
 }
 
 }  // namespace

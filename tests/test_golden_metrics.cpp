@@ -397,7 +397,7 @@ TEST(GoldenMetrics, CorChainExplorePinnedValues) {
   cfg.seed = 3;
   cfg.guest_ops = 20;
   cfg.max_crash_points = 12;
-  cfg.cor_chain = true;
+  cfg.chain = crash::ChainShape::cache_over_base;
   const crash::ExploreReport r = crash::explore(cfg);
   ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
 
@@ -429,14 +429,16 @@ TEST(GoldenMetrics, RepairOfRepairExplorePinnedValues) {
 }
 
 // The overlay-over-cache sweep: both qcow2 files count towards
-// dirty_images, so a point can add two.
+// dirty_images, so a point can add two. The digest mixes the cut's
+// summed write fates first, then each file's check and repair, top file
+// first — the order the single-image sweep has always used.
 
 TEST(GoldenMetrics, TwoFileExplorePinnedValues) {
   crash::ExploreConfig cfg;
   cfg.seed = 9;
   cfg.guest_ops = 20;
   cfg.max_crash_points = 12;
-  cfg.two_file = true;
+  cfg.chain = crash::ChainShape::overlay_over_cache;
   const crash::ExploreReport r = crash::explore(cfg);
   ASSERT_TRUE(r.pass()) << crash::to_json(r, cfg);
 
@@ -458,6 +460,7 @@ TEST(GoldenMetrics, TwoFileExplorePinnedValues) {
   EXPECT_EQ(r.journal_fallbacks, 0u);
   EXPECT_EQ(r.repair_crash_points, 0u);
   EXPECT_FALSE(r.leaks_allowed);
+  EXPECT_EQ(r.digest, 15364564545579585361ull);
 }
 
 // A small crashy cloud run pins the salvage path: one node crash, whose

@@ -115,10 +115,9 @@ int child_writer(const std::string& path, std::uint64_t seed,
 struct Mode {
   const char* name;
   bool lazy = false;
-  bool cor = false;
+  crash::ChainShape chain = crash::ChainShape::standalone;
   std::uint32_t journal_sectors = 0;
   bool crash_during_repair = false;
-  bool two_file = false;
 };
 
 }  // namespace
@@ -171,13 +170,15 @@ int main(int argc, char** argv) {
   if (mode == "lazy" || mode == "all")
     modes.push_back({.name = "lazy", .lazy = true});
   if (mode == "cor" || mode == "all")
-    modes.push_back({.name = "cor-chain", .cor = true});
+    modes.push_back(
+        {.name = "cor-chain", .chain = crash::ChainShape::cache_over_base});
   if (mode == "journal" || mode == "all")
     modes.push_back({.name = "journal", .journal_sectors = js});
   if (mode == "repair" || mode == "all")
     modes.push_back({.name = "repair", .crash_during_repair = true});
   if (mode == "twofile" || mode == "all")
-    modes.push_back({.name = "two-file", .two_file = true});
+    modes.push_back(
+        {.name = "two-file", .chain = crash::ChainShape::overlay_over_cache});
   if (modes.empty()) usage();
 
   std::printf("%-10s %8s %8s %10s %10s %8s %8s %12s %6s\n", "mode", "events",
@@ -188,10 +189,9 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < modes.size(); ++m) {
     crash::ExploreConfig cfg = base;
     cfg.lazy_refcounts = modes[m].lazy;
-    cfg.cor_chain = modes[m].cor;
+    cfg.chain = modes[m].chain;
     cfg.journal_sectors = modes[m].journal_sectors;
     cfg.crash_during_repair = modes[m].crash_during_repair;
-    cfg.two_file = modes[m].two_file;
     const crash::ExploreReport rep = crash::explore(cfg);
     all_pass = all_pass && rep.pass();
     std::printf("%-10s %8llu %8llu %10llu %10llu %8llu %8llu %12llu %6s\n",
