@@ -181,7 +181,9 @@ Result<ParsedHeader> parse_header_area(std::span<const std::uint8_t> buf) {
     if (h.backing_file_size == 0 || h.backing_file_size > 1023) {
       return Errc::corrupt;
     }
-    if (h.backing_file_offset + h.backing_file_size > buf.size()) {
+    // The offset is an unchecked 64-bit value: compare without overflowing.
+    if (h.backing_file_offset > buf.size() ||
+        h.backing_file_size > buf.size() - h.backing_file_offset) {
       return Errc::corrupt;
     }
     out.backing_file.assign(

@@ -154,6 +154,18 @@ TEST(Qcow2Format, TruncatedExtensionAreaIsCorrupt) {
   EXPECT_EQ(parse_header_area(buf).error(), Errc::corrupt);
 }
 
+TEST(Qcow2Format, WrappingBackingNameBoundsAreCorrupt) {
+  // offset + size wraps to 0x100, inside the 4 KiB that open() reads: a
+  // sum-based bounds check would pass it and read the name from 256
+  // bytes before the buffer.
+  Header h = sample_header();
+  h.backing_file_offset = 0xFFFFFFFFFFFFFF00ull;
+  h.backing_file_size = 0x200;
+  std::vector<std::uint8_t> buf(4096, 0);
+  write_header_area(h, std::nullopt, std::nullopt, "", buf);
+  EXPECT_EQ(parse_header_area(buf).error(), Errc::corrupt);
+}
+
 // --------------------------------------------------------------------------
 // Layout math (§4.1)
 // --------------------------------------------------------------------------

@@ -75,15 +75,27 @@ RC=0; "$VMI_IMG" check leak.qcow2 >/dev/null || RC=$?
 echo "--- hostile header fields: an error exit, never an abort"
 # Big-endian fields: size at byte 24, l1_size at 36, and
 # refcount_table_clusters at 56. Each probe used to allocate without
-# bound (SIGABRT) or be accepted.
+# bound (SIGABRT) or be accepted. The last one sets the backing-name
+# offset (byte 8) near 2^64 and its size (byte 16) so that offset + size
+# wraps, which used to read the name from before the header buffer.
 for probe in '36 \377\377\377\360' '56 \377\377\377\360' \
-             '24 \200\000\000\000\000\000\000\000'; do
+             '24 \200\000\000\000\000\000\000\000' \
+             '8 \377\377\377\377\377\377\377\000 16 \000\000\002\000'; do
   set -- $probe
+  byte=$1
   cp scratch.qcow2 hostile.qcow2
-  printf "$2" | dd of=hostile.qcow2 bs=1 seek="$1" conv=notrunc 2>/dev/null
+  while [ $# -gt 0 ]; do
+    printf "$2" | dd of=hostile.qcow2 bs=1 seek="$1" conv=notrunc 2>/dev/null
+    shift 2
+  done
   for cmd in check info; do
-    RC=0; "$VMI_IMG" "$cmd" hostile.qcow2 >/dev/null 2>&1 || RC=$?
-    [ "$RC" -eq 1 ] || { echo "$cmd, byte $1: expected exit 1, got $RC"; exit 1; }
+    RC=0; OUT=$("$VMI_IMG" "$cmd" hostile.qcow2 2>&1) || RC=$?
+    [ "$RC" -eq 1 ] || { echo "$cmd, byte $byte: expected exit 1, got $RC"; exit 1; }
+    # A sanitizer report also exits 1: insist on the parser's own error.
+    case "$OUT" in
+      *"hostile.qcow2: corrupt"*) ;;
+      *) echo "$cmd, byte $byte: expected a corrupt-header error, got: $OUT"; exit 1 ;;
+    esac
   done
 done
 
