@@ -68,7 +68,7 @@ class NodeIndex {
           const NodeState& n = (*nodes_)[static_cast<std::size_t>(ni)];
           if (n.running_vms >= n.vm_capacity) continue;
           if (best < 0 ||
-              better(policy, n, (*nodes_)[static_cast<std::size_t>(best)])) {
+              prefers(policy, n, (*nodes_)[static_cast<std::size_t>(best)])) {
             best = ni;
           }
         }
@@ -87,27 +87,6 @@ class NodeIndex {
   }
 
  private:
-  /// pick_node's `better` predicate: true if a is strictly preferred.
-  static bool better(SchedPolicy policy, const NodeState& a,
-                     const NodeState& b) {
-    switch (policy) {
-      case SchedPolicy::packing:
-        if (a.running_vms != b.running_vms) {
-          return a.running_vms > b.running_vms;
-        }
-        return a.id < b.id;
-      case SchedPolicy::striping:
-        if (a.running_vms != b.running_vms) {
-          return a.running_vms < b.running_vms;
-        }
-        return a.id < b.id;
-      case SchedPolicy::load_aware:
-        if (a.load != b.load) return a.load < b.load;
-        return a.id < b.id;
-    }
-    return a.id < b.id;
-  }
-
   void index_node(int ni) {
     const NodeState& n = (*nodes_)[static_cast<std::size_t>(ni)];
     Slot& s = slots_[static_cast<std::size_t>(ni)];

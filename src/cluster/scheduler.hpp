@@ -28,6 +28,28 @@ struct NodeState {
   std::set<std::string> warm_vmis;  ///< VMIs with a warm cache on this node
 };
 
+/// True if node `a` is strictly preferred over `b` under `policy`.
+inline bool prefers(SchedPolicy policy, const NodeState& a,
+                    const NodeState& b) {
+  switch (policy) {
+    case SchedPolicy::packing:
+      // Fullest non-full node first; ties to the lowest id.
+      if (a.running_vms != b.running_vms) {
+        return a.running_vms > b.running_vms;
+      }
+      return a.id < b.id;
+    case SchedPolicy::striping:
+      if (a.running_vms != b.running_vms) {
+        return a.running_vms < b.running_vms;
+      }
+      return a.id < b.id;
+    case SchedPolicy::load_aware:
+      if (a.load != b.load) return a.load < b.load;
+      return a.id < b.id;
+  }
+  return a.id < b.id;
+}
+
 /// Pick a node for a VM booting `vmi`. Returns the node index in `nodes`,
 /// or -1 if no node has capacity.
 ///
@@ -39,27 +61,6 @@ inline int pick_node(const std::vector<NodeState>& nodes, SchedPolicy policy,
                      const std::string& vmi, bool cache_aware) {
   auto has_capacity = [](const NodeState& n) {
     return n.running_vms < n.vm_capacity;
-  };
-
-  auto better = [&](const NodeState& a, const NodeState& b) {
-    // true if a is strictly preferred over b under `policy`.
-    switch (policy) {
-      case SchedPolicy::packing:
-        // Fullest non-full node first; ties to the lowest id.
-        if (a.running_vms != b.running_vms) {
-          return a.running_vms > b.running_vms;
-        }
-        return a.id < b.id;
-      case SchedPolicy::striping:
-        if (a.running_vms != b.running_vms) {
-          return a.running_vms < b.running_vms;
-        }
-        return a.id < b.id;
-      case SchedPolicy::load_aware:
-        if (a.load != b.load) return a.load < b.load;
-        return a.id < b.id;
-    }
-    return a.id < b.id;
   };
 
   int best = -1;
@@ -82,7 +83,7 @@ inline int pick_node(const std::vector<NodeState>& nodes, SchedPolicy policy,
       }
       continue;
     }
-    if (better(n, nodes[static_cast<std::size_t>(best)])) {
+    if (prefers(policy, n, nodes[static_cast<std::size_t>(best)])) {
       best = static_cast<int>(i);
       best_warm = warm;
     }
