@@ -466,54 +466,6 @@ ExploreReport explore(const ExploreConfig& cfg) {
     if (lost != 0) point_ok = false;
     (void)sim::sync_wait((*reopened)->close());
 
-    // Repair-of-repair: the power can fail again at any instant of the
-    // repair the crash forced. Replay that repair against a clone of the
-    // crashed chain, cutting at every one of its own mutating events; the
-    // half-repaired chain must reopen, repair, and verify like any other
-    // crash state.
-    if (cfg.crash_during_repair) {
-      for (std::uint64_t j = 0; j < 100000; ++j) {
-        std::vector<SparseBuffer> rdisks;
-        for (const SparseBuffer& d : crashed) rdisks.push_back(d.clone());
-        CrashDomain rdom{.cut_after_events = j, .seed = cfg.seed ^ 0x5ec0ecull};
-        const Replay rr = replay(rdom, rdisks, cfg, base_p, nullptr, {}, false);
-        if (rr.open_err != Errc::ok && rr.open_err != Errc::io_error) {
-          ++rep.replay_failures;
-          point_ok = false;
-          break;
-        }
-        if (!rdom.dead) break;  // repair ran to completion before event j
-        ++rep.repair_crash_points;
-        auto r2 =
-            open_chain(plain_files(rdisks), cfg, base_p, /*auto_repair=*/true);
-        if (!r2.ok()) {
-          ++rep.replay_failures;
-          point_ok = false;
-          break;
-        }
-        bool checked = true;
-        for (qcow2::Qcow2Device* q : qcow2_files(**r2, rdisks.size())) {
-          const auto chk = sim::sync_wait(q->check());
-          if (!chk.ok()) {
-            checked = false;
-            break;
-          }
-          if (!post_clean(*chk)) point_ok = false;
-        }
-        if (!checked) {
-          ++rep.replay_failures;
-          point_ok = false;
-          break;
-        }
-        const std::uint64_t rlost =
-            verify_content(**r2, cfg, ops, completed, base_p);
-        rep.lost_flushed_bytes += rlost;
-        if (rlost != 0) point_ok = false;
-        (void)sim::sync_wait((*r2)->close());
-      }
-    }
-
-    if (point_ok) ++rep.verified_points;
     mix(k);
     mix(run.stats.writes_kept);
     mix(run.stats.writes_dropped);
@@ -532,6 +484,59 @@ ExploreReport explore(const ExploreConfig& cfg) {
         mix(f.fixed.journal_entries);
       }
     }
+
+    // Repair-of-repair: the power can fail again at any instant of the
+    // repair the crash forced. Replay that repair against a clone of the
+    // crashed chain, cutting at every one of its own mutating events; the
+    // half-repaired chain must reopen, repair, and verify like any other
+    // crash state.
+    if (cfg.crash_during_repair) {
+      for (std::uint64_t j = 0; j < 100000; ++j) {
+        std::vector<SparseBuffer> rdisks;
+        for (const SparseBuffer& d : crashed) rdisks.push_back(d.clone());
+        CrashDomain rdom{.cut_after_events = j, .seed = cfg.seed ^ 0x5ec0ecull};
+        const Replay rr = replay(rdom, rdisks, cfg, base_p, nullptr, {}, false);
+        if (rr.open_err != Errc::ok && rr.open_err != Errc::io_error) {
+          ++rep.replay_failures;
+          point_ok = false;
+          break;
+        }
+        if (!rdom.dead) break;  // repair ran to completion before event j
+        ++rep.repair_crash_points;
+        mix(j);
+        auto r2 =
+            open_chain(plain_files(rdisks), cfg, base_p, /*auto_repair=*/true);
+        if (!r2.ok()) {
+          ++rep.replay_failures;
+          point_ok = false;
+          break;
+        }
+        bool checked = true;
+        for (qcow2::Qcow2Device* q : qcow2_files(**r2, rdisks.size())) {
+          const auto chk = sim::sync_wait(q->check());
+          if (!chk.ok()) {
+            checked = false;
+            break;
+          }
+          if (!post_clean(*chk)) point_ok = false;
+          mix(chk->leaked_clusters);
+          mix(chk->corruptions);
+        }
+        if (!checked) {
+          ++rep.replay_failures;
+          point_ok = false;
+          break;
+        }
+        const std::uint64_t rlost =
+            verify_content(**r2, cfg, ops, completed, base_p);
+        rep.lost_flushed_bytes += rlost;
+        if (rlost != 0) point_ok = false;
+        mix(rlost);
+        (void)sim::sync_wait((*r2)->close());
+      }
+    }
+
+    if (point_ok) ++rep.verified_points;
   }
   rep.digest = fnv;
   return rep;

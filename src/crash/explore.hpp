@@ -80,7 +80,9 @@ struct ExploreReport {
   /// corruption; the next full check/rebuild drops it). explore() sets
   /// this so pass() tolerates exactly that.
   bool leaks_allowed = false;
-  std::uint64_t digest = 0;  ///< FNV-1a over per-point outcomes (determinism)
+  /// FNV-1a over per-point outcomes, repair-of-repair cuts included
+  /// (determinism).
+  std::uint64_t digest = 0;
 
   [[nodiscard]] bool pass() const noexcept {
     return replay_failures == 0 && pre_repair_corruptions == 0 &&

@@ -731,6 +731,20 @@ TEST(Explore, DigestIsDeterministic) {
   EXPECT_NE(a.digest, c.digest);
 }
 
+TEST(Explore, DigestCoversRepairOfRepair) {
+  // The nested cuts' outcomes enter the digest, so a repair sweep of a
+  // workload does not digest like the plain sweep of it.
+  ExploreConfig cfg;
+  cfg.seed = 3;
+  cfg.guest_ops = 12;
+  cfg.max_crash_points = 4;
+  const ExploreReport plain = explore(cfg);
+  cfg.crash_during_repair = true;
+  const ExploreReport nested = explore(cfg);
+  ASSERT_GT(nested.repair_crash_points, 0u);
+  EXPECT_NE(plain.digest, nested.digest);
+}
+
 TEST(Explore, CountersFlowIntoHub) {
   // One cut fells every file of the chain, but counts once.
   for (const ChainShape chain :
