@@ -39,6 +39,73 @@ void append_json_labels(std::string& out, const Labels& labels) {
   out += '}';
 }
 
+/// Walks render_labels(labels) chunk by chunk without building it: for
+/// each label "{" or ",", key, `="`, value, `"`; then "}". No labels
+/// render as nothing.
+class RenderedLabels {
+ public:
+  explicit RenderedLabels(const Labels& labels)
+      : labels_(labels), pieces_(labels.empty() ? 0 : 5 * labels.size() + 1) {
+    load();
+  }
+
+  [[nodiscard]] bool done() const noexcept { return step_ == pieces_; }
+  [[nodiscard]] std::string_view chunk() const noexcept { return chunk_; }
+
+  /// Consume n <= chunk().size() bytes.
+  void advance(std::size_t n) noexcept {
+    chunk_.remove_prefix(n);
+    if (chunk_.empty()) {
+      ++step_;
+      load();
+    }
+  }
+
+ private:
+  [[nodiscard]] std::string_view piece(std::size_t step) const noexcept {
+    if (step == 5 * labels_.size()) return "}";
+    const auto& [k, v] = labels_[step / 5];
+    switch (step % 5) {
+      case 0: return step == 0 ? "{" : ",";
+      case 1: return k;
+      case 2: return "=\"";
+      case 3: return v;
+      default: return "\"";
+    }
+  }
+
+  // Settle on the next non-empty piece (keys and values may be empty).
+  void load() noexcept {
+    for (; step_ < pieces_; ++step_) {
+      chunk_ = piece(step_);
+      if (!chunk_.empty()) return;
+    }
+    chunk_ = {};
+  }
+
+  const Labels& labels_;
+  std::size_t pieces_;
+  std::size_t step_ = 0;
+  std::string_view chunk_;
+};
+
+/// render_labels(a) < render_labels(b), byte for byte, with no strings
+/// built.
+bool rendered_less(const Labels& a, const Labels& b) {
+  RenderedLabels x(a);
+  RenderedLabels y(b);
+  while (!x.done() && !y.done()) {
+    const std::size_t n = std::min(x.chunk().size(), y.chunk().size());
+    if (const int c = x.chunk().substr(0, n).compare(y.chunk().substr(0, n));
+        c != 0) {
+      return c < 0;
+    }
+    x.advance(n);
+    y.advance(n);
+  }
+  return x.done() && !y.done();
+}
+
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -78,15 +145,37 @@ std::string render_labels(const Labels& labels) {
 // Registry
 // ===========================================================================
 
-std::string Registry::key_of(const std::string& name, const Labels& labels) {
-  std::string key = name;
-  for (const auto& [k, v] : labels) {
-    key += '\x01';
-    key += k;
-    key += '\x02';
-    key += v;
+std::size_t Registry::OwnedHash::operator()(
+    const OwnedKey& k) const noexcept {
+  const std::hash<std::string_view> hs;
+  std::size_t h = hs(k.name) ^ static_cast<std::size_t>(k.kind);
+  const auto combine = [&h](std::size_t x) {
+    h ^= x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  };
+  for (const auto& [lk, lv] : k.labels) {
+    combine(hs(lk));
+    combine(hs(lv));
   }
-  return key;
+  return h;
+}
+
+std::size_t Registry::OwnedHash::operator()(const Entry* e) const noexcept {
+  return (*this)(OwnedKey{e->kind, e->name, e->labels});
+}
+
+bool Registry::OwnedEq::operator()(const OwnedKey& a,
+                                   const Entry* b) const noexcept {
+  return a.kind == b->kind && a.name == b->name && a.labels == b->labels;
+}
+
+bool Registry::OwnedEq::operator()(const Entry* a,
+                                   const OwnedKey& b) const noexcept {
+  return (*this)(b, a);
+}
+
+bool Registry::OwnedEq::operator()(const Entry* a,
+                                   const Entry* b) const noexcept {
+  return (*this)(OwnedKey{a->kind, a->name, a->labels}, b);
 }
 
 Registry::Entry& Registry::add_entry(const std::string& name, Labels labels,
@@ -103,50 +192,33 @@ Registry::Entry& Registry::add_entry(const std::string& name, Labels labels,
   return entries_.back();
 }
 
-Counter& Registry::counter(const std::string& name, Labels labels) {
+Registry::Entry& Registry::owned_entry(Kind kind, const std::string& name,
+                                       Labels labels) {
   labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::counter) {
-      return *const_cast<Counter*>(ent->c);
-    }
-  }
-  owned_counters_.emplace_back();
-  Entry& e = add_entry(name, std::move(labels), Kind::counter, nullptr);
-  e.c = &owned_counters_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_counters_.back();
+  const auto it = owned_index_.find(OwnedKey{kind, name, labels});
+  if (it != owned_index_.end()) return *const_cast<Entry*>(*it);
+  Entry& e = add_entry(name, std::move(labels), kind, nullptr);
+  owned_index_.insert(&e);
+  return e;
+}
+
+Counter& Registry::counter(const std::string& name, Labels labels) {
+  Entry& e = owned_entry(Kind::counter, name, std::move(labels));
+  if (e.c == nullptr) e.c = &owned_counters_.emplace_back();
+  return *const_cast<Counter*>(e.c);
 }
 
 Gauge& Registry::gauge(const std::string& name, Labels labels) {
-  labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::gauge) {
-      return *const_cast<Gauge*>(ent->g);
-    }
-  }
-  owned_gauges_.emplace_back();
-  Entry& e = add_entry(name, std::move(labels), Kind::gauge, nullptr);
-  e.g = &owned_gauges_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_gauges_.back();
+  Entry& e = owned_entry(Kind::gauge, name, std::move(labels));
+  if (e.g == nullptr) e.g = &owned_gauges_.emplace_back();
+  return *const_cast<Gauge*>(e.g);
 }
 
 Histogram& Registry::histogram(const std::string& name, Labels labels,
                                std::vector<double> bounds) {
-  labels = normalized(std::move(labels));
-  const std::string key = key_of(name, labels);
-  for (const auto& [k, ent] : owned_index_) {
-    if (k == key && ent->kind == Kind::histogram) {
-      return *const_cast<Histogram*>(ent->h);
-    }
-  }
-  owned_histograms_.emplace_back(std::move(bounds));
-  Entry& e = add_entry(name, std::move(labels), Kind::histogram, nullptr);
-  e.h = &owned_histograms_.back();
-  owned_index_.emplace_back(key, &e);
-  return owned_histograms_.back();
+  Entry& e = owned_entry(Kind::histogram, name, std::move(labels));
+  if (e.h == nullptr) e.h = &owned_histograms_.emplace_back(std::move(bounds));
+  return *const_cast<Histogram*>(e.h);
 }
 
 void Registry::attach_counter(const std::string& name, Labels labels,
@@ -211,8 +283,10 @@ MetricsSnapshot Registry::snapshot() const {
   }
   std::stable_sort(snap.points.begin(), snap.points.end(),
                    [](const MetricPoint& a, const MetricPoint& b) {
-                     if (a.name != b.name) return a.name < b.name;
-                     return render_labels(a.labels) < render_labels(b.labels);
+                     if (const int c = a.name.compare(b.name); c != 0) {
+                       return c < 0;
+                     }
+                     return rendered_less(a.labels, b.labels);
                    });
   return snap;
 }

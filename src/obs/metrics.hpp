@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -215,10 +216,31 @@ class Registry {
     const void* owner = nullptr;       // nullptr => registry-owned
   };
 
+  // Owned-instrument identity: (kind, name, normalized labels). Same
+  // name and labels under another kind is a separate instrument.
+  struct OwnedKey {
+    Kind kind;
+    std::string_view name;
+    const Labels& labels;
+  };
+  // Transparent, so a lookup by OwnedKey builds no key string.
+  struct OwnedHash {
+    using is_transparent = void;
+    std::size_t operator()(const OwnedKey& k) const noexcept;
+    std::size_t operator()(const Entry* e) const noexcept;
+  };
+  struct OwnedEq {
+    using is_transparent = void;
+    bool operator()(const OwnedKey& a, const Entry* b) const noexcept;
+    bool operator()(const Entry* a, const OwnedKey& b) const noexcept;
+    bool operator()(const Entry* a, const Entry* b) const noexcept;
+  };
+
   Entry& add_entry(const std::string& name, Labels labels, Kind kind,
                    const void* owner);
-  [[nodiscard]] static std::string key_of(const std::string& name,
-                                          const Labels& labels);
+  /// The owned entry for (kind, name, labels); a new one, indexed for
+  /// the next lookup, has a null instrument pointer for the caller to set.
+  Entry& owned_entry(Kind kind, const std::string& name, Labels labels);
 
   // Insertion-ordered (snapshot ties break on it); a list so detach can
   // erase one owner's entries without shifting anyone else's.
@@ -231,9 +253,10 @@ class Registry {
   std::deque<Counter> owned_counters_;
   std::deque<Gauge> owned_gauges_;
   std::deque<Histogram> owned_histograms_;
-  // (name + labels) -> entry, for owned dedup (owned entries are never
-  // erased, so the pointers stay valid).
-  std::vector<std::pair<std::string, const Entry*>> owned_index_;
+  // Hash index over the owned entries (never erased, so the pointers
+  // stay valid). A linear scan here made per-node registration
+  // quadratic in the node count.
+  std::unordered_set<const Entry*, OwnedHash, OwnedEq> owned_index_;
 };
 
 }  // namespace vmic::obs

@@ -33,11 +33,10 @@ sim::SimTime Tracer::now() const noexcept {
 }
 
 std::uint32_t Tracer::track(const std::string& name) {
-  for (std::size_t i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i] == name) return static_cast<std::uint32_t>(i);
-  }
-  tracks_.push_back(name);
-  return static_cast<std::uint32_t>(tracks_.size() - 1);
+  const auto [it, fresh] =
+      track_ids_.try_emplace(name, static_cast<std::uint32_t>(tracks_.size()));
+  if (fresh) tracks_.push_back(&it->first);
+  return it->second;
 }
 
 void Tracer::complete(std::uint32_t track, std::string name, std::string cat,
@@ -103,7 +102,7 @@ std::string Tracer::to_chrome_json() const {
     first = false;
     out += "{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(i) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_escaped(out, tracks_[i]);
+    append_escaped(out, *tracks_[i]);
     out += "\"}}";
   }
   for (std::size_t idx : order) {

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "obs/hub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -116,6 +122,34 @@ TEST(Registry, LabelOrderIsNormalized) {
   ASSERT_NE(snap.find("y", {{"b", "2"}, {"a", "1"}}), nullptr);
 }
 
+TEST(Registry, OwnedLookupKeepsKindsApart) {
+  Registry r;
+  Counter& c = r.counter("dup", {{"node", "c0"}, {"disk", "d0"}});
+  Gauge& g = r.gauge("dup", {{"disk", "d0"}, {"node", "c0"}});
+  Histogram& h = r.histogram("dup", {{"node", "c0"}, {"disk", "d0"}}, {1.0});
+  EXPECT_EQ(r.size(), 3u);
+  // Permuted labels find the same instrument; a second histogram call
+  // keeps the first registration's bounds.
+  EXPECT_EQ(&r.counter("dup", {{"disk", "d0"}, {"node", "c0"}}), &c);
+  EXPECT_EQ(&r.gauge("dup", {{"node", "c0"}, {"disk", "d0"}}), &g);
+  EXPECT_EQ(&r.histogram("dup", {{"disk", "d0"}, {"node", "c0"}}, {2.0}), &h);
+  EXPECT_EQ(r.size(), 3u);
+  EXPECT_EQ(h.bounds(), std::vector<double>{1.0});
+
+  c.inc(5);
+  g.set(1.5);
+  h.observe(0.5);
+  const auto snap = r.snapshot();
+  ASSERT_EQ(snap.points.size(), 3u);
+  // Same name and labels: registration order breaks the tie.
+  EXPECT_EQ(snap.points[0].kind, Kind::counter);
+  EXPECT_EQ(snap.points[0].counter, 5u);
+  EXPECT_EQ(snap.points[1].kind, Kind::gauge);
+  EXPECT_EQ(snap.points[1].gauge, 1.5);
+  EXPECT_EQ(snap.points[2].kind, Kind::histogram);
+  EXPECT_EQ(snap.points[2].count, 1u);
+}
+
 TEST(Registry, AttachAndDetach) {
   Registry r;
   Counter mine;
@@ -212,6 +246,90 @@ TEST(Snapshot, DeterministicAcrossRenders) {
   EXPECT_EQ(s1.to_json(), s2.to_json());
 }
 
+// snapshot() sorts by (name, rendered labels) in byte order without
+// rendering. The series include pairs where that order differs from
+// comparing keys and values one by one: `x!` renders below `x` (`!` is
+// below `"`), key `a_b` against `a`, bytes above 0x7f, an empty label set,
+// and ties — the same name and labels under two kinds, or attached twice —
+// which keep registration order.
+TEST(Snapshot, OrderMatchesRenderedLabels) {
+  struct Series {
+    std::string name;
+    Labels labels;
+    Kind kind;
+  };
+  const std::vector<std::string> names = {"m", "m.a", "m_b", "mm", "n", "m!"};
+  const std::vector<std::string> keys = {"a", "a_b", "a=", "b"};
+  const std::vector<std::string> values = {
+      "", "x", "x!", "x\"", "x,", "x=", "x}", "xy", "y", "\xc3\xa9"};
+  std::vector<Series> series;
+  for (const std::string& n : names) {
+    std::vector<Labels> sets = {{}};
+    for (const std::string& k : keys) {
+      for (const std::string& v : values) sets.push_back({{k, v}});
+    }
+    for (const std::string& v1 : values) {
+      for (const std::string& v2 : values) {
+        sets.push_back({{"a_b", v2}, {"a", v1}});
+      }
+    }
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      series.push_back({n, sets[i], Kind::counter});
+      series.push_back({n, sets[i], Kind::gauge});
+      // Every third set is attached once more, as a same-kind tie.
+      if (i % 3 == 0) series.push_back({n, sets[i], Kind::histogram});
+    }
+  }
+  std::mt19937_64 rng(7);
+  std::shuffle(series.begin(), series.end(), rng);
+
+  // Each series' value is its registration index; histograms stand for
+  // attached counters.
+  Registry r;
+  std::deque<Counter> attached;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    Series& s = series[i];
+    switch (s.kind) {
+      case Kind::counter: r.counter(s.name, s.labels).inc(i); break;
+      case Kind::gauge: r.gauge(s.name, s.labels).set(double(i)); break;
+      case Kind::histogram:
+        attached.emplace_back().inc(i);
+        r.attach_counter(s.name, s.labels, &attached.back(), &attached);
+        s.kind = Kind::counter;
+        break;
+    }
+    std::sort(s.labels.begin(), s.labels.end());
+  }
+  ASSERT_GT(series.size(), 1500u);
+  ASSERT_EQ(r.size(), series.size());
+
+  std::vector<std::size_t> want(series.size());
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+  std::stable_sort(want.begin(), want.end(), [&](std::size_t a, std::size_t b) {
+    if (series[a].name != series[b].name) return series[a].name < series[b].name;
+    return render_labels(series[a].labels) < render_labels(series[b].labels);
+  });
+
+  const auto snap = r.snapshot();
+  ASSERT_EQ(snap.points.size(), want.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const MetricPoint& p = snap.points[i];
+    const std::size_t got = p.kind == Kind::counter
+                                ? static_cast<std::size_t>(p.counter)
+                                : static_cast<std::size_t>(p.gauge);
+    if (got != want[i] || p.kind != series[want[i]].kind) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "position " << i << ": got series " << got
+                      << ", want " << want[i] << " (" << series[want[i]].name
+                      << render_labels(series[want[i]].labels) << ")";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  r.detach(&attached);
+}
+
 // ---------------------------------------------------------------------------
 // tracer
 // ---------------------------------------------------------------------------
@@ -289,6 +407,39 @@ TEST(Tracer, ChromeJsonShape) {
   // Complete events carry microsecond durations (1500-1000 ns = 0.500 us).
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":0.500"), std::string::npos);
+}
+
+TEST(Tracer, TrackIdsFollowFirstUse) {
+  // 7919 is coprime with the track count, so the names are distinct and
+  // first used out of numeric order.
+  constexpr std::uint32_t kTracks = 30000;
+  std::vector<std::string> names;
+  for (std::uint32_t i = 0; i < kTracks; ++i) {
+    names.push_back("node" + std::to_string((i * 7919u) % kTracks) + "/disk");
+  }
+  Tracer t;
+  std::size_t wrong = 0;
+  for (std::uint32_t i = 0; i < kTracks; ++i) {
+    if (t.track(names[i]) != i) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u);
+  for (std::uint32_t i = 0; i < kTracks; i += 97) {
+    EXPECT_EQ(t.track(names[i]), i);
+  }
+  names.push_back("qcow2");
+  EXPECT_EQ(t.track("qcow2"), kTracks);
+  EXPECT_EQ(t.track(names[0]), 0u);
+
+  // Thread-name metadata lists the tracks in id order.
+  std::string want = "{\"traceEvents\":[";
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (i != 0) want += ',';
+    want += "{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(i) +
+            ",\"name\":\"thread_name\",\"args\":{\"name\":\"" + names[i] +
+            "\"}}";
+  }
+  want += "]}";
+  EXPECT_EQ(t.to_chrome_json(), want);
 }
 
 TEST(Hub, TracingHelperIsNullSafe) {
