@@ -1,21 +1,21 @@
 // Concurrent copy-on-read bench: races K readers against one cold cache
-// image on a sim-timed medium and compares the single-flight in-flight-fill
-// protocol against the legacy serialized mode (one device-wide fill at a
-// time, duplicate backing fetches).
+// image on a sim-timed medium and checks the single-flight in-flight-fill
+// protocol (the first reader of a cluster range fetches and fills it;
+// overlapping readers wait and are served from the cache).
 //
 // Two scenarios:
-//   * hotspot — every reader wants the same cold cluster. Single-flight
-//     must fetch it from the base exactly once (readers queue and are
-//     served locally); legacy fetches it once per reader.
+//   * hotspot — every reader wants the same cold cluster. It must be
+//     fetched from the base exactly once.
 //   * cold population — readers fan out over disjoint clusters. Fills
-//     must overlap, so the sim-time makespan must beat the serialized
-//     baseline.
+//     must overlap: 16 readers must finish within kMaxColdRatio times one
+//     reader's sim-time makespan. Fills serialised device-wide took about
+//     6.4x; overlapped ones about 3.1x.
 //
 // Emits BENCH_concurrency_cor.json (override with --out <path>): wall-clock
-// per run, sim makespan, backing-read counts. Exits non-zero when
-// single-flight issues more backing reads than there are unique clusters
-// (the dedup guarantee) or when the cold population fails to beat the
-// serialized baseline — the CI gate.
+// per run, sim makespan, backing-read counts. Exits 1 when a reader gets
+// wrong bytes, when there are more backing reads than unique clusters (the
+// dedup guarantee) or when the cold population misses the makespan bound —
+// the CI gate — and 2 on a bad command line.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +41,8 @@ using vmic::literals::operator""_MiB;
 
 constexpr std::uint64_t kBaseSize = 8_MiB;
 constexpr std::uint64_t kSeed = 77;
+constexpr int kReaders = 16;
+constexpr double kMaxColdRatio = 4.0;
 
 struct RunResult {
   bool ok = false;
@@ -67,8 +69,7 @@ sim::Task<void> reader(block::BlockDevice& dev, std::uint64_t off,
 
 /// One cold boot of the base <- cache <- cow chain with `k` readers,
 /// reader i reading `read_len` bytes at i * stride.
-RunResult run_case(bool single_flight, int k, std::uint64_t stride,
-                   std::uint64_t read_len) {
+RunResult run_case(int k, std::uint64_t stride, std::uint64_t read_len) {
   RunResult res;
   const auto wall0 = std::chrono::steady_clock::now();
 
@@ -94,9 +95,6 @@ RunResult run_case(bool single_flight, int k, std::uint64_t stride,
   auto opened = sim::run_sync(env, qcow2::open_image(dir, "vm.cow"));
   if (!opened.ok()) return res;
   block::DevicePtr cow = std::move(*opened);
-  for (block::BlockDevice* b = cow.get(); b != nullptr; b = b->backing())
-    if (auto* q = dynamic_cast<qcow2::Qcow2Device*>(b))
-      q->set_cor_single_flight(single_flight);
   auto* cache = dynamic_cast<qcow2::Qcow2Device*>(cow->backing());
   if (cache == nullptr) return res;
 
@@ -128,8 +126,8 @@ RunResult run_case(bool single_flight, int k, std::uint64_t stride,
   return res;
 }
 
-void print_row(const char* scenario, const char* mode, const RunResult& r) {
-  std::printf("%16s%16s%16llu%16llu%16llu%16.6f%16.2f\n", scenario, mode,
+void print_row(const char* scenario, int readers, const RunResult& r) {
+  std::printf("%16s%16d%16llu%16llu%16llu%16.6f%16.2f\n", scenario, readers,
               static_cast<unsigned long long>(r.backing_reads),
               static_cast<unsigned long long>(r.inflight_waits),
               static_cast<unsigned long long>(r.dedup_hits), r.makespan_s,
@@ -157,48 +155,51 @@ void json_run(std::FILE* f, const char* key, const RunResult& r,
 int main(int argc, char** argv) {
   std::string out = "BENCH_concurrency_cor.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out = argv[++i];
+    if (std::strcmp(argv[i], "--out") != 0) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return 2;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for --out\n");
+      return 2;
+    }
+    out = argv[++i];
   }
 
   bench::header(
-      "Concurrent copy-on-read: single-flight fills vs legacy serialization",
+      "Concurrent copy-on-read: single-flight fills",
       "§4.2 cache population, QEMU-style in-flight COW tracking",
       "hotspot: 1 backing read regardless of reader count; cold "
-      "population: makespan below the serialized baseline");
+      "population: 16 readers within 4x one reader's makespan");
 
-  constexpr int kReaders = 16;
-  const auto hot_sf = run_case(true, kReaders, 0, 64_KiB);
-  const auto hot_legacy = run_case(false, kReaders, 0, 64_KiB);
-  const auto cold_sf = run_case(true, kReaders, 512_KiB, 64_KiB);
-  const auto cold_legacy = run_case(false, kReaders, 512_KiB, 64_KiB);
+  const auto hot = run_case(kReaders, 0, 64_KiB);
+  const auto cold_one = run_case(1, 512_KiB, 64_KiB);
+  const auto cold = run_case(kReaders, 512_KiB, 64_KiB);
 
-  bench::row_header({"scenario", "mode", "backing_rd", "waits", "dedup",
+  bench::row_header({"scenario", "readers", "backing_rd", "waits", "dedup",
                      "makespan_s", "wall_ms"});
-  print_row("hotspot", "single_flight", hot_sf);
-  print_row("hotspot", "legacy", hot_legacy);
-  print_row("cold_pop", "single_flight", cold_sf);
-  print_row("cold_pop", "legacy", cold_legacy);
+  print_row("hotspot", kReaders, hot);
+  print_row("cold_pop", 1, cold_one);
+  print_row("cold_pop", kReaders, cold);
 
   const std::uint64_t hot_unique = 1;
   const std::uint64_t cold_unique = kReaders;
-  const bool data_ok =
-      hot_sf.ok && hot_legacy.ok && cold_sf.ok && cold_legacy.ok;
-  const bool dedup_ok = hot_sf.backing_reads <= hot_unique &&
-                        cold_sf.backing_reads <= cold_unique;
-  const bool makespan_ok = cold_sf.makespan_s < cold_legacy.makespan_s;
+  const bool data_ok = hot.ok && cold_one.ok && cold.ok;
+  const bool dedup_ok =
+      hot.backing_reads <= hot_unique && cold.backing_reads <= cold_unique;
+  const double ratio =
+      cold_one.makespan_s > 0 ? cold.makespan_s / cold_one.makespan_s : 0;
+  const bool makespan_ok = ratio > 0 && ratio <= kMaxColdRatio;
   const bool pass = data_ok && dedup_ok && makespan_ok;
 
   std::printf("\nGate: dedup %s (hotspot %llu/%llu, cold %llu/%llu), "
-              "cold-population speedup %.2fx (%s)\n",
+              "cold population %.2fx one reader, bound %.1fx (%s)\n",
               dedup_ok ? "OK" : "FAIL",
-              static_cast<unsigned long long>(hot_sf.backing_reads),
+              static_cast<unsigned long long>(hot.backing_reads),
               static_cast<unsigned long long>(hot_unique),
-              static_cast<unsigned long long>(cold_sf.backing_reads),
-              static_cast<unsigned long long>(cold_unique),
-              cold_sf.makespan_s > 0
-                  ? cold_legacy.makespan_s / cold_sf.makespan_s
-                  : 0.0,
-              makespan_ok ? "OK" : "FAIL");
+              static_cast<unsigned long long>(cold.backing_reads),
+              static_cast<unsigned long long>(cold_unique), ratio,
+              kMaxColdRatio, makespan_ok ? "OK" : "FAIL");
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -209,13 +210,14 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"readers\": %d,\n", kReaders);
   std::fprintf(f, "  \"hotspot\": {\n    \"unique_clusters\": %llu,\n",
                static_cast<unsigned long long>(hot_unique));
-  json_run(f, "single_flight", hot_sf, ",");
-  json_run(f, "legacy", hot_legacy, "");
+  json_run(f, "single_flight", hot, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cold_population\": {\n    \"unique_clusters\": %llu,\n",
                static_cast<unsigned long long>(cold_unique));
-  json_run(f, "single_flight", cold_sf, ",");
-  json_run(f, "legacy", cold_legacy, "");
+  std::fprintf(f, "    \"makespan_ratio\": %.4f,\n", ratio);
+  std::fprintf(f, "    \"max_makespan_ratio\": %.1f,\n", kMaxColdRatio);
+  json_run(f, "one_reader", cold_one, ",");
+  json_run(f, "single_flight", cold, "");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"gate\": {\"data_ok\": %s, \"dedup_ok\": %s, "
                "\"makespan_ok\": %s, \"pass\": %s}\n}\n",

@@ -1,12 +1,12 @@
 // bench_engine_throughput — the million-VM sim core, measured. Two parts:
 //
-//  1. Scheduler microbench: the same timer churn (a large pending
-//     population with steady fire/reschedule plus far-future
-//     cancellations, the shape a 10k-node cloud run produces) is driven
-//     through both SimEnv queue implementations — the calendar queue and
-//     the legacy binary-heap ablation — and events/sec are compared.
-//     The calendar queue's O(1) amortized insert/pop/cancel must beat
-//     the heap's O(log n) by at least --min-speedup (CI gates 3x).
+//  1. Scheduler microbench: a timer churn (a large pending population
+//     with steady fire/reschedule plus far-future cancellations, the
+//     shape a 10k-node cloud run produces) is driven through SimEnv's
+//     calendar queue. Reports events/sec and the queue's work per event
+//     (SimEnv::queue_work() / events); the work count is exact on every
+//     host and build, and --max-work-per-event gates that insert/pop/
+//     cancel stay O(1) amortized.
 //
 //  2. Engine workload: a full run_cloud() at --nodes compute nodes and
 //     roughly --sessions arrivals (the CloudStress shape: tiny per-VM
@@ -15,19 +15,24 @@
 //     end-to-end events/sec from CloudResult::sim_events and the
 //     process peak RSS, gated by --min-events-per-sec / --max-rss-mib.
 //
-// Exits non-zero when any requested gate fails.
+// Exits non-zero when any requested gate fails. --json-out writes the
+// results stamped with the host (CPU model, processor count, compiler,
+// build type), since the events/sec and RSS figures vary by machine.
 //
 //   bench_engine_throughput [--nodes N] [--sessions N]
 //                           [--micro-pending N] [--micro-fires N]
-//                           [--min-speedup X] [--min-events-per-sec X]
-//                           [--max-rss-mib X] [--json-out FILE]
+//                           [--max-work-per-event X]
+//                           [--min-events-per-sec X] [--max-rss-mib X]
+//                           [--json-out FILE]
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -73,21 +78,74 @@ std::uint64_t splitmix(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
+/// "model name" of the first processor in /proc/cpuinfo ("unknown" when
+/// the file or field is missing).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string compiler_version() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "g++ " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+std::string build_type() {
+#ifdef VMIC_BUILD_TYPE
+  std::string t = VMIC_BUILD_TYPE;
+#else
+  std::string t = "unknown";
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  t += "+asan";
+#endif
+  return t;
+}
+
+/// `s` as a JSON string literal (quotes and backslashes escaped, control
+/// bytes blanked).
+std::string json_str(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += ' ';
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
 struct MicroResult {
   std::uint64_t events = 0;
+  std::uint64_t queue_work = 0;
   double wall_s = 0;
   double events_per_sec = 0;
+  double work_per_event = 0;
 };
 
-/// Drive one queue implementation through the synthetic churn. The rng
-/// stream is identical across implementations, so both fire the exact
-/// same event population.
-MicroResult run_micro(sim::SimEnv::QueueImpl impl, std::size_t pending,
-                      std::uint64_t fires) {
+/// Drive the calendar queue through the synthetic churn.
+MicroResult run_micro(std::size_t pending, std::uint64_t fires) {
   constexpr std::uint64_t kHorizon = 1 << 16;
   constexpr std::size_t kDoomedRing = 64;
 
-  sim::SimEnv env(impl);
+  sim::SimEnv env;
   std::uint64_t rng = 0x5eed;
   std::uint64_t scheduled = 0;
   std::uint64_t fired = 0;
@@ -103,7 +161,6 @@ MicroResult run_micro(sim::SimEnv::QueueImpl impl, std::size_t pending,
     }
     // Cancellation churn: every 4th fire plants a far-future timer that
     // is guaranteed still pending when it is cancelled 64 plants later.
-    // The calendar unlinks in place; the heap accretes tombstones.
     if ((fired & 3u) == 0) {
       if (plants++ >= kDoomedRing) env.cancel(doomed[doomed_at]);
       doomed[doomed_at] = env.call_at(
@@ -122,8 +179,12 @@ MicroResult run_micro(sim::SimEnv::QueueImpl impl, std::size_t pending,
 
   MicroResult r;
   r.events = env.events_processed();
+  r.queue_work = env.queue_work();
   r.wall_s = wall;
   r.events_per_sec = wall > 0 ? static_cast<double>(r.events) / wall : 0;
+  r.work_per_event = r.events > 0 ? static_cast<double>(r.queue_work) /
+                                        static_cast<double>(r.events)
+                                  : 0;
   return r;
 }
 
@@ -180,7 +241,7 @@ int main(int argc, char** argv) {
   int sessions = 100000;
   std::size_t micro_pending = 1u << 21;
   std::uint64_t micro_fires = 1u << 22;
-  double min_speedup = 0;
+  double max_work_per_event = 0;
   double min_events_per_sec = 0;
   double max_rss_mib = 0;
   std::string json_out;
@@ -198,7 +259,7 @@ int main(int argc, char** argv) {
     else if (a == "--sessions") sessions = std::atoi(next());
     else if (a == "--micro-pending") micro_pending = std::strtoull(next(), nullptr, 10);
     else if (a == "--micro-fires") micro_fires = std::strtoull(next(), nullptr, 10);
-    else if (a == "--min-speedup") min_speedup = std::atof(next());
+    else if (a == "--max-work-per-event") max_work_per_event = std::atof(next());
     else if (a == "--min-events-per-sec") min_events_per_sec = std::atof(next());
     else if (a == "--max-rss-mib") max_rss_mib = std::atof(next());
     else if (a == "--json-out") json_out = next();
@@ -211,25 +272,13 @@ int main(int argc, char** argv) {
   std::printf("== scheduler micro: %zu pending, %llu fires ==\n",
               micro_pending,
               static_cast<unsigned long long>(micro_fires));
-  const MicroResult cal =
-      run_micro(sim::SimEnv::QueueImpl::calendar, micro_pending, micro_fires);
-  const MicroResult heap =
-      run_micro(sim::SimEnv::QueueImpl::heap, micro_pending, micro_fires);
-  if (cal.events != heap.events) {
-    std::fprintf(stderr,
-                 "impl divergence: calendar fired %llu, heap fired %llu\n",
-                 static_cast<unsigned long long>(cal.events),
-                 static_cast<unsigned long long>(heap.events));
-    return 1;
-  }
-  const double speedup =
-      heap.events_per_sec > 0 ? cal.events_per_sec / heap.events_per_sec : 0;
+  const MicroResult cal = run_micro(micro_pending, micro_fires);
   std::printf("  calendar: %10.0f events/s  (%.2fs, %llu events)\n",
               cal.events_per_sec, cal.wall_s,
               static_cast<unsigned long long>(cal.events));
-  std::printf("  heap:     %10.0f events/s  (%.2fs)\n", heap.events_per_sec,
-              heap.wall_s);
-  std::printf("  speedup:  %.2fx\n", speedup);
+  std::printf("  queue work: %llu (%.3f per event)\n",
+              static_cast<unsigned long long>(cal.queue_work),
+              cal.work_per_event);
 
   std::printf("== engine: %d nodes, ~%d sessions ==\n", nodes, sessions);
   const EngineResult eng = run_engine(nodes, sessions);
@@ -249,7 +298,9 @@ int main(int argc, char** argv) {
       pass = false;
     }
   };
-  if (min_speedup > 0) gate(speedup >= min_speedup, "calendar-vs-heap speedup");
+  if (max_work_per_event > 0) {
+    gate(cal.work_per_event <= max_work_per_event, "queue work per event");
+  }
   if (min_events_per_sec > 0) {
     gate(eng.events_per_sec >= min_events_per_sec, "engine events/sec floor");
   }
@@ -263,12 +314,19 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n"
+                 "  \"host\": {\n"
+                 "    \"cpu\": %s,\n"
+                 "    \"nproc\": %u,\n"
+                 "    \"compiler\": %s,\n"
+                 "    \"build_type\": %s\n"
+                 "  },\n"
                  "  \"scheduler_micro\": {\n"
                  "    \"pending\": %zu,\n"
+                 "    \"fires\": %llu,\n"
                  "    \"events\": %llu,\n"
-                 "    \"calendar_events_per_sec\": %.1f,\n"
-                 "    \"heap_events_per_sec\": %.1f,\n"
-                 "    \"speedup\": %.3f\n"
+                 "    \"queue_work\": %llu,\n"
+                 "    \"work_per_event\": %.4f,\n"
+                 "    \"events_per_sec\": %.1f\n"
                  "  },\n"
                  "  \"engine\": {\n"
                  "    \"nodes\": %d,\n"
@@ -282,19 +340,24 @@ int main(int argc, char** argv) {
                  "    \"peak_rss_mib\": %.1f\n"
                  "  },\n"
                  "  \"gate\": {\n"
-                 "    \"min_speedup\": %.2f,\n"
+                 "    \"max_work_per_event\": %.2f,\n"
                  "    \"min_events_per_sec\": %.1f,\n"
                  "    \"max_rss_mib\": %.1f,\n"
                  "    \"pass\": %s\n"
                  "  }\n"
                  "}\n",
-                 micro_pending,
+                 json_str(cpu_model()).c_str(),
+                 std::thread::hardware_concurrency(),
+                 json_str(compiler_version()).c_str(),
+                 json_str(build_type()).c_str(), micro_pending,
+                 static_cast<unsigned long long>(micro_fires),
                  static_cast<unsigned long long>(cal.events),
-                 cal.events_per_sec, heap.events_per_sec, speedup, nodes,
-                 sessions, eng.arrivals, eng.completed,
+                 static_cast<unsigned long long>(cal.queue_work),
+                 cal.work_per_event, cal.events_per_sec, nodes, sessions,
+                 eng.arrivals, eng.completed,
                  static_cast<unsigned long long>(eng.sim_events),
                  eng.sim_seconds, eng.wall_s, eng.events_per_sec, rss,
-                 min_speedup, min_events_per_sec, max_rss_mib,
+                 max_work_per_event, min_events_per_sec, max_rss_mib,
                  pass ? "true" : "false");
     std::fclose(f);
   }

@@ -104,13 +104,6 @@ struct OpenOptions {
   /// into registry-owned aggregates (qcow2.*{image=...}) and trace CoR
   /// fills; devices are too short-lived for per-instance attachment.
   obs::Hub* hub = nullptr;
-  /// Coalesce concurrent copy-on-read fills per cluster range: readers of
-  /// an in-flight cluster wait for the fill and are served locally instead
-  /// of issuing a duplicate backing fetch. Off = the legacy serialized
-  /// behaviour (one device-wide fill at a time, duplicate fetches) — kept
-  /// as an ablation baseline for bench_concurrency_cor. Applies to every
-  /// qcow2 device in the opened chain.
-  bool cor_single_flight = true;
   /// Defer refcount *decrements* to memory while the image is dirty; the
   /// clean-close path (or `repair()`) persists them. A crash can then
   /// leave stale-high on-disk refcounts — leaks, never corruption — in

@@ -199,7 +199,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
   auto dev = std::unique_ptr<Qcow2Device>(
       new Qcow2Device(std::move(file), std::move(parsed)));
   dev->ro_mode_ = !opt.writable;
-  dev->cor_single_flight_ = opt.cor_single_flight;
 
   // Load the L1 table (QEMU keeps the whole L1 in memory as well).
   {
@@ -292,16 +291,6 @@ sim::Task<Result<block::DevicePtr>> Qcow2Device::open(
       backing->set_read_only_mode(true);
     }
     dev->backing_ = std::move(backing);
-    // Resolvers rebuild their own OpenOptions, so push the fill-coalescing
-    // mode down the chain by hand — it must be uniform: a cache image in
-    // the middle of the chain does the actual CoR.
-    for (block::BlockDevice* b = dev->backing_.get(); b != nullptr;
-         b = b->backing()) {
-      if (b->format_name() == "qcow2") {
-        static_cast<Qcow2Device*>(b)->cor_single_flight_ =
-            opt.cor_single_flight;
-      }
-    }
   }
 
   co_return block::DevicePtr{std::move(dev)};
@@ -906,38 +895,26 @@ void Qcow2Device::cor_stop(Errc cause) {
                  std::string(to_string(cause)).c_str());
 }
 
-/// Unallocated-extent read on a CoR-active cache image. With single-flight
-/// enabled the first reader of a cluster range becomes the fill owner:
-/// it holds the range in cor_inflight_ across backing fetch + store, so
-/// fills to disjoint ranges proceed in parallel while overlapping readers
-/// queue and are served locally afterwards — exactly one backing fetch
-/// per cluster. Legacy mode reproduces the pre-range-lock behaviour:
-/// every reader fetches from the backing image first (duplicates
-/// possible), then fills serialise device-wide.
+/// Unallocated-extent read on a CoR-active cache image. The first reader
+/// of a cluster range becomes the fill owner: it holds the range in
+/// cor_inflight_ across backing fetch + store, so fills to disjoint
+/// ranges proceed in parallel while overlapping readers queue and are
+/// served locally afterwards — exactly one backing fetch per cluster
+/// (single-flight, as QEMU's copy-on-read serialises overlapping
+/// requests).
 sim::Task<Result<void>> Qcow2Device::cor_fill_read(
     std::uint64_t pos, std::span<std::uint8_t> dst) {
-  std::optional<sim::RangeGuard> guard;
-  if (!cor_single_flight_) {
-    VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
-    if (!cor_enabled_) co_return ok_result();
-    guard.emplace(co_await cor_inflight_.acquire(0, ~std::uint64_t{0}));
-    if (guard->waited()) {
-      ++stats_.cor_inflight_waits;
-      bump(agg_.cor_inflight_waits);
-    }
-  } else {
-    const std::uint64_t cs = ly_.cluster_size();
-    guard.emplace(co_await cor_inflight_.acquire(
-        align_down(pos, cs), align_up(pos + dst.size(), cs)));
-    if (guard->waited()) {
-      // Someone filled (or tried to fill) our clusters while we queued:
-      // serve from the cache where possible instead of re-fetching.
-      ++stats_.cor_inflight_waits;
-      bump(agg_.cor_inflight_waits);
-      co_return co_await cor_read_after_wait(pos, dst);
-    }
-    VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
+  const std::uint64_t cs = ly_.cluster_size();
+  const sim::RangeGuard guard = co_await cor_inflight_.acquire(
+      align_down(pos, cs), align_up(pos + dst.size(), cs));
+  if (guard.waited()) {
+    // Someone filled (or tried to fill) our clusters while we queued:
+    // serve from the cache where possible instead of re-fetching.
+    ++stats_.cor_inflight_waits;
+    bump(agg_.cor_inflight_waits);
+    co_return co_await cor_read_after_wait(pos, dst);
   }
+  VMIC_CO_TRY_VOID(co_await read_from_backing(pos, dst));
   if (!cor_enabled_) co_return ok_result();  // a stop raced with us
   obs::Span fill;
   if (obs::tracing(hub_)) {
@@ -1003,8 +980,10 @@ sim::Task<Result<void>> Qcow2Device::cor_store(
   VMIC_CO_TRY(buf,
               co_await cluster_buffer(vaddr, data, /*from_backing=*/true));
 
-  // Store the runs of clusters that are still absent: in legacy mode
-  // another reader may have filled some of them since our fetch.
+  // Store the runs of clusters that are still absent. read() maps the
+  // extent before cor_fill_read takes the range lock, so a fill that
+  // completed while this reader awaited its L2 read in map_range leaves
+  // clusters already allocated — and the lock is then taken unwaited.
   std::uint64_t pos = lo;
   bool stored = false;
   while (pos < hi && pos < h_.size) {

@@ -137,16 +137,6 @@ class Qcow2Device final : public block::BlockDevice {
   /// False once a CoR write hit the quota (no further population).
   [[nodiscard]] bool cor_active() const noexcept { return cor_enabled_; }
 
-  /// Per-cluster-range single-flight CoR fills (default on): readers of an
-  /// in-flight cluster wait for the fill and are served locally. Off =
-  /// legacy behaviour — every reader fetches from the backing image
-  /// (duplicates possible) and fills serialise device-wide. Kept as an
-  /// ablation baseline for bench_concurrency_cor.
-  void set_cor_single_flight(bool on) noexcept { cor_single_flight_ = on; }
-  [[nodiscard]] bool cor_single_flight() const noexcept {
-    return cor_single_flight_;
-  }
-
   // --- compressed clusters (cache CoR fills) ------------------------------
   /// Opt CoR fills into compressed-cluster storage: compressible clusters
   /// are stored as LZSS payloads packed sector-aligned into shared host
@@ -528,7 +518,6 @@ class Qcow2Device final : public block::BlockDevice {
   /// fill owner holds its range; overlapping readers queue and are served
   /// locally afterwards (single-flight, QEMU-style in-flight COW).
   sim::RangeLock cor_inflight_;
-  bool cor_single_flight_ = true;
   BackingFetchHook fetch_hook_;
   CorFillObserver fill_observer_;
 

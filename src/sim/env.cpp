@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace vmic::sim {
 
@@ -16,27 +14,13 @@ constexpr std::uint32_t kMaxBuckets = 1u << 20;
 /// even at the largest wheel size.
 constexpr SimTime kMaxWidth = SimTime{1} << 42;
 
-SimEnv::QueueImpl default_impl() {
-  const char* v = std::getenv("VMIC_SIM_QUEUE");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) {
-    return SimEnv::QueueImpl::heap;
-  }
-  return SimEnv::QueueImpl::calendar;
-}
-
 }  // namespace
 
-SimEnv::SimEnv() : SimEnv(default_impl()) {}
-
-SimEnv::SimEnv(QueueImpl impl) : impl_(impl) {
-  if (impl_ == QueueImpl::calendar) {
-    nbuckets_ = kMinBuckets;
-    mask_ = nbuckets_ - 1;
-    buckets_.assign(nbuckets_, Bucket{});
-    cur_ = 0;
-    cur_top_ = width_;
-  }
-}
+SimEnv::SimEnv()
+    : buckets_(kMinBuckets),
+      mask_(kMinBuckets - 1),
+      nbuckets_(kMinBuckets),
+      cur_top_(width_) {}
 
 // --- calendar queue ---------------------------------------------------------
 
@@ -49,11 +33,14 @@ void SimEnv::link_sorted(std::uint32_t idx) {
   // with a larger seq) insert at the tail immediately, preserving FIFO
   // order for same-time events because seq is globally monotone.
   std::uint32_t after = bk.tail;
+  std::uint64_t walked = 0;
   while (after != kNil) {
     const Entry& a = pool_[after];
     if (a.time < e.time || (a.time == e.time && a.seq < e.seq)) break;
     after = a.prev;
+    ++walked;
   }
+  queue_work_ += walked;
   if (after == kNil) {
     e.prev = kNil;
     e.next = bk.head;
@@ -128,7 +115,10 @@ std::uint32_t SimEnv::find_min() {
   std::uint32_t scanned = 0;
   for (;;) {
     const std::uint32_t h = buckets_[cur_].head;
-    if (h != kNil && pool_[h].time < cur_top_) return h;
+    if (h != kNil && pool_[h].time < cur_top_) {
+      queue_work_ += scanned;
+      return h;
+    }
     cur_ = static_cast<std::uint32_t>((cur_ + 1) & mask_);
     cur_top_ += width_;
     if (++scanned > nbuckets_) {
@@ -150,6 +140,7 @@ std::uint32_t SimEnv::find_min() {
         }
       }
       assert(best != kNil);
+      queue_work_ += scanned + nbuckets_;
       const Entry& e = pool_[best];
       cur_ = e.bucket;
       cur_top_ =
@@ -211,6 +202,7 @@ void SimEnv::rebuild(std::uint32_t new_buckets) {
     std::sort(all.begin(), all.end(), by_time_seq);
   }
   for (std::uint32_t i : all) link_sorted(i);
+  queue_work_ += all.size();
   if (!all.empty()) {
     const Entry& e = pool_[all.front()];
     cur_ = e.bucket;
@@ -267,30 +259,16 @@ void SimEnv::fire(std::uint32_t idx) {
 SimEnv::TimerId SimEnv::schedule_at(SimTime t, std::coroutine_handle<> h) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
-  if (impl_ == QueueImpl::heap) {
-    const TimerId id = next_id_++;
-    heap_.push(HeapEntry{t, next_seq_++, id, h, {}});
-    return id;
-  }
   return insert_entry(t, h, nullptr);
 }
 
 SimEnv::TimerId SimEnv::call_at(SimTime t, std::function<void()> fn) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
-  if (impl_ == QueueImpl::heap) {
-    const TimerId id = next_id_++;
-    heap_.push(HeapEntry{t, next_seq_++, id, nullptr, std::move(fn)});
-    return id;
-  }
   return insert_entry(t, nullptr, std::move(fn));
 }
 
 void SimEnv::cancel(TimerId id) {
-  if (impl_ == QueueImpl::heap) {
-    cancelled_.insert(id);
-    return;
-  }
   const std::uint32_t idx = static_cast<std::uint32_t>(id & kSlotMask);
   if (idx >= pool_.capacity()) return;
   Entry& e = pool_[idx];
@@ -301,26 +279,6 @@ void SimEnv::cancel(TimerId id) {
 }
 
 bool SimEnv::step() {
-  if (impl_ == QueueImpl::heap) {
-    while (!heap_.empty()) {
-      HeapEntry e = heap_.top();
-      heap_.pop();
-      if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      assert(e.time >= now_);
-      now_ = e.time;
-      ++events_processed_;
-      if (e.handle) {
-        e.handle.resume();
-      } else {
-        e.fn();
-      }
-      return true;
-    }
-    return false;
-  }
   const std::uint32_t idx = find_min();
   if (idx == kNil) return false;
   fire(idx);
@@ -333,23 +291,6 @@ void SimEnv::run() {
 }
 
 bool SimEnv::run_until(SimTime deadline) {
-  if (impl_ == QueueImpl::heap) {
-    while (!heap_.empty()) {
-      // Peek past cancelled entries without consuming live ones.
-      const HeapEntry& e = heap_.top();
-      if (cancelled_.count(e.id) != 0) {
-        cancelled_.erase(e.id);
-        heap_.pop();
-        continue;
-      }
-      if (e.time > deadline) {
-        now_ = deadline;
-        return false;
-      }
-      step();
-    }
-    return true;
-  }
   std::uint32_t idx;
   while ((idx = find_min()) != kNil) {
     if (pool_[idx].time > deadline) {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -22,30 +20,18 @@ namespace vmic::sim {
 ///
 /// The event queue is a calendar queue (Brown 1988): an open-hashed ring
 /// of time-sorted buckets whose width/size adapt to the live event
-/// population, giving O(1) amortized insert/pop where the old binary
-/// heap paid O(log n) sift costs per operation. Timer entries live in a
+/// population, giving O(1) amortized insert/pop. Timer entries live in a
 /// slab pool (util::SlotPool) and TimerIds embed (slot, generation), so
 /// cancel() unlinks the entry in place in O(1) and `pending_events()` is
-/// exact — there is no tombstone set. The pre-change binary-heap queue
-/// is retained as an ablation (`QueueImpl::heap`, or environment
-/// variable `VMIC_SIM_QUEUE=heap`) so benches can measure the swap and
-/// differential tests can pit the two implementations against each
-/// other; both produce the identical event fire order.
+/// exact — there is no tombstone set. `queue_work()` counts the queue's
+/// non-constant steps, so tests can bound the work per event exactly.
 class SimEnv {
  public:
   using TimerId = std::uint64_t;
 
-  /// Event-queue implementation selector (ablation switch).
-  enum class QueueImpl { calendar, heap };
-
-  /// Default: calendar queue, unless VMIC_SIM_QUEUE=heap is set in the
-  /// environment (process-wide ablation without touching call sites).
   SimEnv();
-  explicit SimEnv(QueueImpl impl);
   SimEnv(const SimEnv&) = delete;
   SimEnv& operator=(const SimEnv&) = delete;
-
-  [[nodiscard]] QueueImpl queue_impl() const noexcept { return impl_; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
@@ -73,18 +59,24 @@ class SimEnv {
   /// Process a single event; returns false if the queue is empty.
   bool step();
 
-  /// Live (schedulable) events. Exact under the calendar queue even
-  /// after cancellations. Under the legacy heap ablation this keeps the
-  /// pre-change contract: a cancel() of an id that is not actually
-  /// pending makes it an overcount.
+  /// Live (schedulable) events, exact even after cancellations.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return impl_ == QueueImpl::calendar ? live_count_
-                                        : heap_.size() - cancelled_.size();
+    return live_count_;
   }
 
   /// Events fired since construction (throughput accounting).
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return events_processed_;
+  }
+
+  /// Queue work since construction: entries walked past by sorted
+  /// inserts, buckets stepped over (or swept in a sparse-year lap) while
+  /// looking for the next event, and entries relinked by resizes. Each
+  /// of these is O(1) per event on average when the bucket width fits
+  /// the event spacing, so queue_work() / events_processed() stays small
+  /// and flat as the pending population grows.
+  [[nodiscard]] std::uint64_t queue_work() const noexcept {
+    return queue_work_;
   }
 
   /// Number of spawned, still-running detached tasks.
@@ -120,7 +112,7 @@ class SimEnv {
 
  private:
   static constexpr std::uint32_t kNil = util::SlotPool<int>::kNil;
-  /// TimerId layout (calendar): low kSlotBits = pool slot, high bits =
+  /// TimerId layout: low kSlotBits = pool slot, high bits =
   /// slot generation at allocation. 2^28 concurrent timers, 2^36
   /// generations per slot before an id could alias.
   static constexpr std::uint32_t kSlotBits = 28;
@@ -145,19 +137,6 @@ class SimEnv {
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-  };
-
-  /// Pre-change heap entry (ablation path), byte-for-byte the old queue.
-  struct HeapEntry {
-    SimTime time;
-    std::uint64_t seq;
-    TimerId id;
-    std::coroutine_handle<> handle;
-    std::function<void()> fn;
-    bool operator>(const HeapEntry& o) const noexcept {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
   };
 
   // Wrapper coroutine that owns a spawned task for its whole lifetime.
@@ -199,13 +178,9 @@ class SimEnv {
   std::uint32_t find_min();
   void rebuild(std::uint32_t new_buckets);
   void maybe_resize();
-  /// Fire one entry (calendar path): set the clock, recycle the slot,
-  /// then resume/invoke.
+  /// Fire one entry: set the clock, recycle the slot, then resume/invoke.
   void fire(std::uint32_t idx);
 
-  QueueImpl impl_;
-
-  // Calendar queue state.
   util::SlotPool<Entry> pool_;
   std::vector<Bucket> buckets_;
   SimTime width_ = 1024;        ///< bucket time width (ns)
@@ -215,14 +190,10 @@ class SimEnv {
   SimTime cur_top_ = 0;         ///< upper time bound of bucket cur_'s window
   std::size_t live_count_ = 0;
 
-  // Heap (ablation) state.
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
-  std::unordered_set<TimerId> cancelled_;
-
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;  ///< heap-mode ids (monotone, like pre-change)
   std::uint64_t events_processed_ = 0;
+  std::uint64_t queue_work_ = 0;
   std::size_t live_tasks_ = 0;
 };
 

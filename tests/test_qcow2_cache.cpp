@@ -360,8 +360,7 @@ sim::Task<void> reader_task(block::BlockDevice& dev, std::uint64_t off,
 
 /// Boot a base <- cache <- cow chain on a simulated medium and race `k`
 /// readers, reader i reading `read_len` bytes at offset i * stride.
-ConcurrentResult run_concurrent_readers(bool single_flight, int k,
-                                        std::uint64_t stride,
+ConcurrentResult run_concurrent_readers(int k, std::uint64_t stride,
                                         std::uint64_t read_len,
                                         std::uint64_t quota = 4_MiB,
                                         std::uint32_t cache_bits = 16) {
@@ -390,9 +389,6 @@ ConcurrentResult run_concurrent_readers(bool single_flight, int k,
   EXPECT_TRUE(opened.ok()) << to_string(opened.error());
   if (!opened.ok()) return res;
   DevicePtr cow = std::move(*opened);
-  for (block::BlockDevice* b = cow.get(); b != nullptr; b = b->backing())
-    if (auto* q = dynamic_cast<Qcow2Device*>(b))
-      q->set_cor_single_flight(single_flight);
   auto* cache = dynamic_cast<Qcow2Device*>(cow->backing());
   EXPECT_NE(cache, nullptr);
   if (cache == nullptr) return res;
@@ -430,8 +426,8 @@ ConcurrentResult run_concurrent_readers(bool single_flight, int k,
 TEST(ConcurrentCoR, SameClusterSingleFlightFetchesOnce) {
   // 16 readers of the same 64 KiB cluster: exactly one backing fetch; the
   // other 15 queue on the in-flight range and are served locally.
-  const auto r = run_concurrent_readers(/*single_flight=*/true, 16,
-                                        /*stride=*/0, /*read_len=*/64_KiB);
+  const auto r =
+      run_concurrent_readers(16, /*stride=*/0, /*read_len=*/64_KiB);
   EXPECT_TRUE(r.bytes_ok);
   EXPECT_TRUE(r.check_clean);
   EXPECT_EQ(r.backing_reads, 1u);
@@ -442,44 +438,29 @@ TEST(ConcurrentCoR, SameClusterSingleFlightFetchesOnce) {
   EXPECT_EQ(r.cor_stopped, 0u);
 }
 
-TEST(ConcurrentCoR, LegacyModeDuplicatesFetches) {
-  // Ablation baseline: with single-flight off every reader fetches the
-  // cluster from the base for itself; only one copy lands in the cache.
-  const auto r = run_concurrent_readers(/*single_flight=*/false, 16,
-                                        /*stride=*/0, /*read_len=*/64_KiB);
+TEST(ConcurrentCoR, DisjointClustersNoWaitsAndOverlap) {
+  // 8 readers on 8 different clusters: no contention, one fetch each, and
+  // the fills overlap. Overlapped fills take 1.9x one reader's makespan;
+  // fills serialised device-wide took 3.5x, which the 2.5x bound rejects.
+  const auto one =
+      run_concurrent_readers(1, /*stride=*/1_MiB, /*read_len=*/64_KiB);
+  const auto r =
+      run_concurrent_readers(8, /*stride=*/1_MiB, /*read_len=*/64_KiB);
   EXPECT_TRUE(r.bytes_ok);
   EXPECT_TRUE(r.check_clean);
-  EXPECT_EQ(r.backing_reads, 16u);
-  EXPECT_EQ(r.bytes_from_backing, 16 * 64_KiB);
+  EXPECT_EQ(r.backing_reads, 8u);
+  EXPECT_EQ(r.inflight_waits, 0u);
   EXPECT_EQ(r.dedup_hits, 0u);
-  EXPECT_EQ(r.cor_clusters, 1u);
-}
-
-TEST(ConcurrentCoR, DisjointClustersNoWaitsAndFasterThanLegacy) {
-  // 8 readers on 8 different clusters: no contention, one fetch each, and
-  // the cold population finishes sooner than the serialized legacy mode.
-  const auto on = run_concurrent_readers(/*single_flight=*/true, 8,
-                                         /*stride=*/1_MiB, /*read_len=*/64_KiB);
-  EXPECT_TRUE(on.bytes_ok);
-  EXPECT_TRUE(on.check_clean);
-  EXPECT_EQ(on.backing_reads, 8u);
-  EXPECT_EQ(on.inflight_waits, 0u);
-  EXPECT_EQ(on.dedup_hits, 0u);
-  EXPECT_EQ(on.cor_clusters, 8u);
-
-  const auto off = run_concurrent_readers(/*single_flight=*/false, 8,
-                                          /*stride=*/1_MiB,
-                                          /*read_len=*/64_KiB);
-  EXPECT_TRUE(off.bytes_ok);
-  EXPECT_EQ(off.cor_clusters, 8u);
-  EXPECT_LT(on.makespan, off.makespan);
+  EXPECT_EQ(r.cor_clusters, 8u);
+  ASSERT_GT(one.makespan, 0);
+  EXPECT_LT(r.makespan, 5 * one.makespan / 2);
 }
 
 TEST(ConcurrentCoR, DeterministicAcrossRuns) {
-  const auto a = run_concurrent_readers(/*single_flight=*/true, 12,
-                                        /*stride=*/256_KiB, /*read_len=*/96_KiB);
-  const auto b = run_concurrent_readers(/*single_flight=*/true, 12,
-                                        /*stride=*/256_KiB, /*read_len=*/96_KiB);
+  const auto a =
+      run_concurrent_readers(12, /*stride=*/256_KiB, /*read_len=*/96_KiB);
+  const auto b =
+      run_concurrent_readers(12, /*stride=*/256_KiB, /*read_len=*/96_KiB);
   EXPECT_TRUE(a.bytes_ok);
   EXPECT_TRUE(a == b);
 }
@@ -488,9 +469,9 @@ TEST(ConcurrentCoR, QuotaEdgeUnderConcurrency) {
   // 16 racing readers want 1 MiB of 4 KiB clusters but the cache may only
   // grow to 256 KiB: the quota stop must fire exactly once, the file must
   // respect the quota, and every reader still gets correct bytes.
-  const auto r = run_concurrent_readers(/*single_flight=*/true, 16,
-                                        /*stride=*/64_KiB, /*read_len=*/64_KiB,
-                                        /*quota=*/256_KiB, /*cache_bits=*/12);
+  const auto r =
+      run_concurrent_readers(16, /*stride=*/64_KiB, /*read_len=*/64_KiB,
+                             /*quota=*/256_KiB, /*cache_bits=*/12);
   EXPECT_TRUE(r.bytes_ok);
   EXPECT_TRUE(r.check_clean);
   EXPECT_EQ(r.cor_stopped, 1u);
